@@ -22,7 +22,7 @@ use nilicon_sim::{PageBuf, SimError, SimResult, PAGE_SIZE};
 use std::collections::{BTreeMap, HashMap};
 
 /// Merged committed file-cache page: contents + writeback-dirty flag.
-type FsPageEntry = (Box<[u8; PAGE_SIZE]>, bool);
+type FsPageEntry = (PageBuf, bool);
 
 /// An epoch arriving in pieces (COW checkpointing): the metadata image lands
 /// first, then page chunks stream in as the primary's background copier
@@ -315,7 +315,7 @@ impl BackupAgent {
         keys.sort();
         for k in keys {
             let (data, dirty) = &self.fs_pages[&k];
-            fs.pages.push((k.0, k.1, data.clone(), *dirty));
+            fs.pages.push((k.0, k.1, PageBuf::clone(data), *dirty));
         }
         img.fs_pages = fs;
         let mut inodes: Vec<Inode> = self.fs_inodes.values().cloned().collect();
@@ -429,10 +429,10 @@ mod tests {
         let mut i1 = img(1, &[]);
         i1.fs_pages
             .pages
-            .push((Ino(5), 0, Box::new([1u8; PAGE_SIZE]), true));
+            .push((Ino(5), 0, PageBuf::new([1u8; PAGE_SIZE]), true));
         i1.fs_pages
             .pages
-            .push((Ino(5), 1, Box::new([1u8; PAGE_SIZE]), false));
+            .push((Ino(5), 1, PageBuf::new([1u8; PAGE_SIZE]), false));
         a.ingest(i1);
         a.ingest_drbd(vec![DrbdMsg::Barrier(1)]);
         a.commit(1, &mut disk).unwrap();
@@ -440,7 +440,7 @@ mod tests {
         let mut i2 = img(2, &[]);
         i2.fs_pages
             .pages
-            .push((Ino(5), 0, Box::new([2u8; PAGE_SIZE]), true)); // update
+            .push((Ino(5), 0, PageBuf::new([2u8; PAGE_SIZE]), true)); // update
         a.ingest(i2);
         a.ingest_drbd(vec![DrbdMsg::Barrier(2)]);
         a.commit(2, &mut disk).unwrap();
@@ -568,7 +568,7 @@ mod tests {
         let w = nilicon_sim::block::DiskWrite {
             ino: Ino(4),
             page_idx: 0,
-            data: Box::new([0u8; PAGE_SIZE]),
+            data: PageBuf::new([0u8; PAGE_SIZE]),
         };
         a.ingest_drbd(vec![
             DrbdMsg::Write(w.clone()),

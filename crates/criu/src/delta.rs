@@ -303,7 +303,10 @@ fn is_zero_page(data: &[u8; PAGE_SIZE]) -> bool {
 /// vector kernel the CPU supports; `is_x86_feature_detected!` caches its
 /// CPUID probe, so the per-call dispatch cost is a predicted branch.
 #[inline]
-fn diff_word_bitmap(old: &[u8; PAGE_SIZE], new: &[u8; PAGE_SIZE]) -> [u64; WORDS_PER_PAGE / 64] {
+pub fn diff_word_bitmap(
+    old: &[u8; PAGE_SIZE],
+    new: &[u8; PAGE_SIZE],
+) -> [u64; WORDS_PER_PAGE / 64] {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
@@ -378,8 +381,10 @@ unsafe fn diff_word_bitmap_avx2(
 }
 
 /// Portable word diff (and the reference the vector kernels are tested
-/// against): one branch-free XOR pass, one bitmap bit per word.
-fn diff_word_bitmap_scalar(
+/// against): one branch-free XOR pass, one bitmap bit per word. Public, like
+/// [`diff_word_bitmap`], so a host-clock gate can time both kernels on the
+/// same pages in the same process.
+pub fn diff_word_bitmap_scalar(
     old: &[u8; PAGE_SIZE],
     new: &[u8; PAGE_SIZE],
 ) -> [u64; WORDS_PER_PAGE / 64] {

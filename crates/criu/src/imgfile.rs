@@ -528,9 +528,11 @@ fn decode_fs(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
         let idx = r.u64()?;
         let dirty = r.u8()? != 0;
         let data = r.take(PAGE_SIZE)?;
-        let mut page = Box::new([0u8; PAGE_SIZE]);
+        let mut page = [0u8; PAGE_SIZE];
         page.copy_from_slice(data);
-        img.fs_pages.pages.push((ino, idx, page, dirty));
+        img.fs_pages
+            .pages
+            .push((ino, idx, std::rc::Rc::new(page), dirty));
     }
     let ni = r.u32()? as usize;
     for _ in 0..ni {

@@ -178,8 +178,8 @@ mod tests {
     use super::*;
     use nilicon_sim::ids::{DevId, Ino};
 
-    fn page(tag: u8) -> Box<[u8; PAGE_SIZE]> {
-        Box::new([tag; PAGE_SIZE])
+    fn page(tag: u8) -> nilicon_sim::PageBuf {
+        nilicon_sim::PageBuf::new([tag; PAGE_SIZE])
     }
 
     struct Pair {

@@ -8,8 +8,8 @@ use nilicon_sim::ids::{DevId, Ino};
 use nilicon_sim::PAGE_SIZE;
 use proptest::prelude::*;
 
-fn page(tag: u8) -> Box<[u8; PAGE_SIZE]> {
-    Box::new([tag; PAGE_SIZE])
+fn page(tag: u8) -> nilicon_sim::PageBuf {
+    nilicon_sim::PageBuf::new([tag; PAGE_SIZE])
 }
 
 #[derive(Debug, Clone)]

@@ -7,7 +7,7 @@
 //! is appended to a write log that the DRBD primary drains.
 
 use crate::ids::{DevId, Ino};
-use crate::PAGE_SIZE;
+use crate::mem::PageBuf;
 use std::collections::HashMap;
 
 /// One logical disk write (a page of file data hitting stable storage).
@@ -17,8 +17,8 @@ pub struct DiskWrite {
     pub ino: Ino,
     /// Page index within the file.
     pub page_idx: u64,
-    /// Page contents.
-    pub data: Box<[u8; PAGE_SIZE]>,
+    /// Page contents, shared with the device store that took the write.
+    pub data: PageBuf,
 }
 
 impl std::fmt::Debug for DiskWrite {
@@ -35,7 +35,7 @@ impl std::fmt::Debug for DiskWrite {
 pub struct BlockDevice {
     /// Device id (assigned by the kernel).
     pub id: DevId,
-    store: HashMap<(Ino, u64), Box<[u8; PAGE_SIZE]>>,
+    store: HashMap<(Ino, u64), PageBuf>,
     write_log: Vec<DiskWrite>,
     writes_total: u64,
 }
@@ -49,9 +49,10 @@ impl BlockDevice {
         }
     }
 
-    /// Write one page to stable storage (logged for replication).
-    pub fn write_page(&mut self, ino: Ino, page_idx: u64, data: Box<[u8; PAGE_SIZE]>) {
-        self.store.insert((ino, page_idx), data.clone());
+    /// Write one page to stable storage (logged for replication). The store
+    /// and the log entry share `data`.
+    pub fn write_page(&mut self, ino: Ino, page_idx: u64, data: PageBuf) {
+        self.store.insert((ino, page_idx), PageBuf::clone(&data));
         self.write_log.push(DiskWrite {
             ino,
             page_idx,
@@ -63,13 +64,15 @@ impl BlockDevice {
     /// Apply a replicated write *without* logging it (backup-side commit —
     /// re-logging would echo the write back to the replication layer).
     pub fn apply_replicated(&mut self, w: &DiskWrite) {
-        self.store.insert((w.ino, w.page_idx), w.data.clone());
+        self.store
+            .insert((w.ino, w.page_idx), PageBuf::clone(&w.data));
         self.writes_total += 1;
     }
 
-    /// Read one page; `None` if never written.
-    pub fn read_page(&self, ino: Ino, page_idx: u64) -> Option<&[u8; PAGE_SIZE]> {
-        self.store.get(&(ino, page_idx)).map(|b| &**b)
+    /// Read one page; `None` if never written. The buffer is the stored
+    /// one: a caller that keeps it shares it.
+    pub fn read_page(&self, ino: Ino, page_idx: u64) -> Option<&PageBuf> {
+        self.store.get(&(ino, page_idx))
     }
 
     /// Drain the write log (the DRBD primary ships these asynchronously).
@@ -103,7 +106,7 @@ impl BlockDevice {
             .map(|&(ino, page_idx)| DiskWrite {
                 ino,
                 page_idx,
-                data: self.store[&(ino, page_idx)].clone(),
+                data: PageBuf::clone(&self.store[&(ino, page_idx)]),
             })
             .collect()
     }
@@ -136,9 +139,10 @@ impl BlockDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PAGE_SIZE;
 
-    fn page(fill: u8) -> Box<[u8; PAGE_SIZE]> {
-        Box::new([fill; PAGE_SIZE])
+    fn page(fill: u8) -> PageBuf {
+        PageBuf::new([fill; PAGE_SIZE])
     }
 
     #[test]

@@ -2,14 +2,17 @@
 
 use crate::block::BlockDevice;
 use crate::ids::Ino;
+use crate::mem::{zero_page, PageBuf};
 use crate::PAGE_SIZE;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// One cached file page.
 #[derive(Clone)]
 pub struct CachePage {
-    /// Page contents.
-    pub data: Box<[u8; PAGE_SIZE]>,
+    /// Page contents, shared with the disk and with checkpoints until the
+    /// next cache write copies it.
+    pub data: PageBuf,
     /// Needs writeback to the block device.
     pub dirty: bool,
     /// Dirty but Not Checkpointed: modified since the last `fgetfc` (§III).
@@ -33,7 +36,7 @@ impl std::fmt::Debug for CachePage {
 #[derive(Debug, Default, Clone)]
 pub struct FsCacheCheckpoint {
     /// `(inode, page index, contents, dirty-for-writeback)` tuples.
-    pub pages: Vec<(Ino, u64, Box<[u8; PAGE_SIZE]>, bool)>,
+    pub pages: Vec<(Ino, u64, PageBuf, bool)>,
 }
 
 impl FsCacheCheckpoint {
@@ -64,19 +67,20 @@ impl PageCache {
         let e = self.entries.entry((ino, page_idx)).or_insert_with(|| {
             created = true;
             CachePage {
-                data: Box::new([0u8; PAGE_SIZE]),
+                data: zero_page(),
                 dirty: false,
                 dnc: false,
             }
         });
-        e.data[offset..offset + data.len()].copy_from_slice(data);
+        Rc::make_mut(&mut e.data)[offset..offset + data.len()].copy_from_slice(data);
         e.dirty = true;
         e.dnc = true;
         created
     }
 
-    /// Read from the cache; on miss, fault the page in from `disk` (clean) and
-    /// read from it. Returns false on a complete miss (no cache, no disk).
+    /// Read from the cache; on miss, fault the page in from `disk` (clean,
+    /// sharing the disk's buffer) and read from it. Returns false on a
+    /// complete miss (no cache, no disk).
     pub fn read(
         &mut self,
         disk: &BlockDevice,
@@ -95,7 +99,7 @@ impl PageCache {
             self.entries.insert(
                 (ino, page_idx),
                 CachePage {
-                    data: Box::new(*p),
+                    data: PageBuf::clone(p),
                     dirty: false,
                     dnc: false,
                 },
@@ -113,7 +117,7 @@ impl PageCache {
         let mut written = 0;
         for (&(i, idx), e) in self.entries.iter_mut() {
             if e.dirty && ino.is_none_or(|want| want == i) {
-                disk.write_page(i, idx, e.data.clone());
+                disk.write_page(i, idx, PageBuf::clone(&e.data));
                 e.dirty = false;
                 written += 1;
             }
@@ -135,7 +139,7 @@ impl PageCache {
         for k in keys {
             let e = self.entries.get_mut(&k).expect("key just collected");
             e.dnc = false;
-            out.pages.push((k.0, k.1, e.data.clone(), e.dirty));
+            out.pages.push((k.0, k.1, PageBuf::clone(&e.data), e.dirty));
         }
         out
     }
@@ -148,7 +152,7 @@ impl PageCache {
             self.entries.insert(
                 (*ino, *idx),
                 CachePage {
-                    data: data.clone(),
+                    data: PageBuf::clone(data),
                     dirty: *dirty,
                     dnc: false,
                 },
@@ -203,7 +207,7 @@ mod tests {
     fn read_faults_in_from_disk_clean() {
         let mut pc = PageCache::new();
         let mut disk = BlockDevice::new(DevId(1));
-        disk.write_page(Ino(1), 2, Box::new([9u8; PAGE_SIZE]));
+        disk.write_page(Ino(1), 2, PageBuf::new([9u8; PAGE_SIZE]));
         let mut buf = [0u8; 3];
         assert!(pc.read(&disk, Ino(1), 2, 0, &mut buf));
         assert_eq!(buf, [9, 9, 9]);

@@ -647,7 +647,8 @@ impl Kernel {
         Ok(self.mm_mut(pid)?.take_cow_faults())
     }
 
-    /// Install pages at restore time.
+    /// Install pages at restore time. Each frame shares its buffer with
+    /// `pages` until the restored container writes to it.
     pub fn install_pages(
         &mut self,
         pid: Pid,

@@ -370,7 +370,7 @@ impl AddressSpace {
     // Checkpoint support
     // ------------------------------------------------------------------
 
-    /// Copy out one page's contents (zeros if unmaterialized but mapped).
+    /// Capture one page's contents (zeros if unmaterialized but mapped).
     pub fn snapshot_page(&self, vpn: u64) -> SimResult<PageBuf> {
         let addr = vpn * PS;
         self.vma_at(addr).ok_or(SimError::Segfault { addr })?;
@@ -381,12 +381,13 @@ impl AddressSpace {
     }
 
     /// Install page contents at restore time (does not set soft-dirty: a
-    /// freshly restored container starts with a clean tracking slate).
-    pub fn install_page(&mut self, vpn: u64, data: &[u8; PAGE_SIZE]) -> SimResult<()> {
+    /// freshly restored container starts with a clean tracking slate). The
+    /// frame shares `data` with the checkpoint it came from; the guest's
+    /// first write to it copies.
+    pub fn install_page(&mut self, vpn: u64, data: &PageBuf) -> SimResult<()> {
         let addr = vpn * PS;
         self.vma_at(addr).ok_or(SimError::Segfault { addr })?;
-        let mut f = PageFrame::from_bytes(data);
-        f.soft_dirty = false;
+        let mut f = PageFrame::from_buf(PageBuf::clone(data));
         f.tracked_clean = true;
         self.frames.insert(vpn, f);
         Ok(())

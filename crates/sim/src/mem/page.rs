@@ -3,12 +3,16 @@
 use crate::PAGE_SIZE;
 use std::rc::Rc;
 
-/// A refcounted, immutable 4 KiB page buffer.
+/// A refcounted, copy-on-write 4 KiB page buffer — the only page
+/// representation in the simulation.
 ///
-/// Checkpoint pages travel the dump → encode → transfer → ingest path as
-/// `PageBuf`s: one copy is made when the page is captured (the frame is still
-/// mutable), after which every stage — delta shadow, placement striping,
-/// backup stores — shares the same allocation. The simulation is
+/// Every layer that holds a page holds the same allocation: the guest frame,
+/// the checkpoint image, the delta shadow, the placement stripes, the backup
+/// page store, the page cache, the block device and its write log. Handing a
+/// page from one layer to the next is an `Rc` clone. A buffer that more than
+/// one holder sees is immutable: a writer goes through [`Rc::make_mut`], which
+/// copies the 4 KiB only when another holder still shares it, so a later
+/// write never changes what an earlier holder captured. The simulation is
 /// single-threaded, so `Rc` suffices.
 pub type PageBuf = Rc<[u8; PAGE_SIZE]>;
 
@@ -28,7 +32,7 @@ pub fn zero_page() -> PageBuf {
 /// reads as zeros, exactly like an untouched anonymous mapping.
 #[derive(Clone)]
 pub struct PageFrame {
-    data: Box<[u8; PAGE_SIZE]>,
+    data: PageBuf,
     /// Soft-dirty bit: set on write, cleared by `clear_refs`.
     pub soft_dirty: bool,
     /// Tracking armed: the *next* write to this frame takes a tracking fault.
@@ -47,26 +51,24 @@ impl std::fmt::Debug for PageFrame {
 
 impl Default for PageFrame {
     fn default() -> Self {
-        PageFrame {
-            data: Box::new([0u8; PAGE_SIZE]),
-            soft_dirty: false,
-            tracked_clean: false,
-        }
+        Self::from_buf(zero_page())
     }
 }
 
 impl PageFrame {
-    /// A zeroed frame.
+    /// A zeroed frame (shares the zero page until its first write).
     pub fn zeroed() -> Self {
         Self::default()
     }
 
-    /// A frame initialized with `data` starting at offset 0 (rest zeroed).
-    pub fn from_bytes(data: &[u8]) -> Self {
-        let mut f = Self::default();
-        let n = data.len().min(PAGE_SIZE);
-        f.data[..n].copy_from_slice(&data[..n]);
-        f
+    /// A frame backed by `data`, shared with its other holders until the
+    /// frame's first write.
+    pub fn from_buf(data: PageBuf) -> Self {
+        PageFrame {
+            data,
+            soft_dirty: false,
+            tracked_clean: false,
+        }
     }
 
     /// Read-only view of the page contents.
@@ -75,17 +77,18 @@ impl PageFrame {
         &self.data
     }
 
-    /// Mutable view of the page contents. Callers are responsible for dirty
+    /// Mutable view of the page contents, copying the buffer first if
+    /// another holder shares it. Callers are responsible for dirty
     /// accounting — use [`crate::mem::AddressSpace`] APIs in normal paths.
     #[inline]
     pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
-        &mut self.data
+        Rc::make_mut(&mut self.data)
     }
 
-    /// Copy the page out into an immutable shared buffer. This is the single
-    /// copy on the checkpoint path; everything downstream clones the `Rc`.
+    /// Capture the page contents as a shared buffer. No bytes are copied:
+    /// the frame's next write copies instead (see [`Self::bytes_mut`]).
     pub fn snapshot(&self) -> PageBuf {
-        Rc::new(*self.data)
+        Rc::clone(&self.data)
     }
 }
 
@@ -94,24 +97,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeroed_and_from_bytes() {
+    fn zeroed_reads_zeros_and_shares_the_zero_page() {
         let z = PageFrame::zeroed();
         assert!(z.bytes().iter().all(|&b| b == 0));
-        let f = PageFrame::from_bytes(&[1, 2, 3]);
-        assert_eq!(&f.bytes()[..4], &[1, 2, 3, 0]);
-        assert!(!f.soft_dirty);
-    }
-
-    #[test]
-    fn from_bytes_truncates_oversized_input() {
-        let big = vec![0xAB; PAGE_SIZE + 100];
-        let f = PageFrame::from_bytes(&big);
-        assert_eq!(f.bytes()[PAGE_SIZE - 1], 0xAB);
+        assert!(Rc::ptr_eq(&z.snapshot(), &zero_page()));
+        assert!(!z.soft_dirty);
     }
 
     #[test]
     fn snapshot_is_independent() {
-        let mut f = PageFrame::from_bytes(b"hello");
+        let mut f = PageFrame::zeroed();
+        f.bytes_mut()[..5].copy_from_slice(b"hello");
         let snap = f.snapshot();
         f.bytes_mut()[0] = b'X';
         assert_eq!(&snap[..5], b"hello");

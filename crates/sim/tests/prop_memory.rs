@@ -35,6 +35,41 @@ fn race_strategy() -> impl Strategy<Value = RaceOp> {
     ]
 }
 
+/// One step of a random interleaving of guest writes with layers that take
+/// and release shared page buffers.
+#[derive(Debug, Clone)]
+enum ShareOp {
+    Write {
+        page: u64,
+        off: usize,
+        byte: u8,
+    },
+    Snapshot {
+        page: u64,
+    },
+    Release {
+        nth: usize,
+    },
+    /// Restore a held snapshot into `page`: the frame shares the buffer.
+    Install {
+        nth: usize,
+        page: u64,
+    },
+}
+
+fn share_strategy() -> impl Strategy<Value = ShareOp> {
+    prop_oneof![
+        (0..PAGES, 0..PAGE_SIZE, any::<u8>()).prop_map(|(page, off, byte)| ShareOp::Write {
+            page,
+            off,
+            byte
+        }),
+        (0..PAGES).prop_map(|page| ShareOp::Snapshot { page }),
+        (0..16usize).prop_map(|nth| ShareOp::Release { nth }),
+        (0..16usize, 0..PAGES).prop_map(|(nth, page)| ShareOp::Install { nth, page }),
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..PAGES, 0..4000u64, 1..64usize).prop_map(|(page, off, len)| Op::Write {
@@ -237,5 +272,52 @@ proptest! {
             prop_assert_eq!(a.snapshot_page(vpn).unwrap(), b.snapshot_page(vpn).unwrap());
         }
         prop_assert_eq!(b.soft_dirty_count(), 0, "restored pages start clean");
+    }
+
+    /// Copy-on-write isolation: under any interleaving of guest writes,
+    /// snapshots, releases and restores, memory matches a flat byte model,
+    /// and every held snapshot keeps exactly the bytes it was taken with.
+    #[test]
+    fn snapshot_contents_never_change(
+        ops in proptest::collection::vec(share_strategy(), 1..150)
+    ) {
+        let mut a = space();
+        let mut model = vec![0u8; PAGES as usize * PAGE_SIZE];
+        // (snapshot, the bytes it must keep)
+        let mut held: Vec<(PageBuf, Vec<u8>)> = Vec::new();
+        let page_of = |model: &[u8], page: u64| {
+            model[page as usize * PAGE_SIZE..(page as usize + 1) * PAGE_SIZE].to_vec()
+        };
+        for op in ops {
+            match op {
+                ShareOp::Write { page, off, byte } => {
+                    a.write(BASE + page * PAGE_SIZE as u64 + off as u64, &[byte]).unwrap();
+                    model[page as usize * PAGE_SIZE + off] = byte;
+                }
+                ShareOp::Snapshot { page } => {
+                    let snap = a.snapshot_page(BASE / PAGE_SIZE as u64 + page).unwrap();
+                    prop_assert_eq!(&snap[..], &page_of(&model, page)[..]);
+                    held.push((snap, page_of(&model, page)));
+                }
+                ShareOp::Release { nth } => {
+                    if !held.is_empty() {
+                        held.swap_remove(nth % held.len());
+                    }
+                }
+                ShareOp::Install { nth, page } => {
+                    if let Some((snap, bytes)) = held.get(nth % held.len().max(1)) {
+                        a.install_page(BASE / PAGE_SIZE as u64 + page, snap).unwrap();
+                        let at = page as usize * PAGE_SIZE;
+                        model[at..at + PAGE_SIZE].copy_from_slice(bytes);
+                    }
+                }
+            }
+            for (snap, bytes) in &held {
+                prop_assert_eq!(&snap[..], &bytes[..], "a later write changed a snapshot");
+            }
+        }
+        let mut mem = vec![0u8; model.len()];
+        a.read(BASE, &mut mem).unwrap();
+        prop_assert_eq!(mem, model);
     }
 }
