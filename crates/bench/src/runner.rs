@@ -4,10 +4,12 @@ pub use crate::cli::{apply_cli_extensions, cli_tracer};
 use nilicon::harness::{RunHarness, RunMode};
 use nilicon::metrics::{percentile, RunMetrics};
 use nilicon::trace::TraceEvent;
-use nilicon::{NiLiConEngine, OptimizationConfig, PlacementEngine, ReplicationConfig};
+use nilicon::{
+    Checkpointer, NiLiConEngine, OptimizationConfig, PlacementEngine, ReplicationConfig,
+};
 use nilicon_mc::McEngine;
 use nilicon_sim::time::Nanos;
-use nilicon_sim::CostModel;
+use nilicon_sim::{CostModel, SimError, SimResult};
 use nilicon_workloads::Workload;
 use serde::Serialize;
 
@@ -16,23 +18,37 @@ use serde::Serialize;
 pub const WARMUP_EPOCHS: usize = 4;
 
 /// A NiLiCon run mode with the given optimization set, plus any EXTENSION
-/// knobs passed on the command line (see [`apply_cli_extensions`]).
+/// knobs passed on the command line (see [`apply_cli_extensions`]). Exits
+/// with status 2 when the knobs select an engine that cannot be built (see
+/// [`nilicon_engine`]).
 pub fn nilicon_mode(opts: OptimizationConfig) -> RunMode {
     let opts = apply_cli_extensions(opts, std::env::args());
-    if opts.backups > 1 {
-        assert!(
-            opts.quorum >= 1 && opts.quorum <= opts.backups,
-            "invalid --backups/--quorum placement: need 1 <= k <= n"
-        );
-        // The placement engine needs the staging buffer and doesn't compose
-        // with --delta/--cow: staircase rows without that shape keep the
-        // single-backup engine, so `--backups` upgrades exactly the rows
-        // that can host a k-of-n placement.
-        if let Ok(engine) = PlacementEngine::new(opts, CostModel::default()) {
-            return RunMode::Replicated(Box::new(engine));
+    match nilicon_engine(opts) {
+        Ok(engine) => RunMode::Replicated(engine),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
     }
-    RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())))
+}
+
+/// The replication engine for a NiLiCon row under `opts`. With
+/// `--backups N` (N > 1) the row runs the k-of-n placement engine. That
+/// engine needs the staging buffer, so staircase rows without it keep the
+/// single-backup engine: `--backups` upgrades exactly the rows that can
+/// host a placement. A row that can host one but asks for a combination
+/// the placement engine rejects (`--delta`, `--cow`, an invalid quorum)
+/// is an error, not a silent single-backup run.
+pub fn nilicon_engine(opts: OptimizationConfig) -> SimResult<Box<dyn Checkpointer>> {
+    if opts.backups > 1 && !(1..=opts.backups).contains(&opts.quorum) {
+        return Err(SimError::Invalid(
+            "invalid --backups/--quorum placement: need 1 <= k <= n".into(),
+        ));
+    }
+    if opts.backups > 1 && opts.staging_buffer {
+        return Ok(Box::new(PlacementEngine::new(opts, CostModel::default())?));
+    }
+    Ok(Box::new(NiLiConEngine::new(opts, CostModel::default())))
 }
 
 /// The MC baseline run mode.
@@ -249,5 +265,33 @@ mod tests {
     fn modes_construct() {
         let _ = nilicon_mode(nilicon::OptimizationConfig::nilicon());
         let _ = mc_mode();
+    }
+
+    #[test]
+    fn backups_pick_placement_or_fall_back_only_without_staging() {
+        let mut placed = OptimizationConfig::nilicon();
+        placed.backups = 3;
+        placed.quorum = 2;
+        let engine = nilicon_engine(placed).unwrap();
+        assert_eq!((engine.name(), engine.placement()), ("Placement", (2, 3)));
+
+        // A staircase row without the staging buffer keeps one backup.
+        let mut unstaged = placed;
+        unstaged.staging_buffer = false;
+        assert_eq!(nilicon_engine(unstaged).unwrap().name(), "NiLiCon");
+
+        // Placement with --cow or --delta is an error, not a fallback.
+        for knob in [
+            |o: &mut OptimizationConfig| o.cow_checkpoint = true,
+            |o: &mut OptimizationConfig| o.delta_transfer = true,
+        ] {
+            let mut opts = placed;
+            knob(&mut opts);
+            let err = nilicon_engine(opts).err().expect("rejected");
+            assert!(err.to_string().contains("composes with neither"), "{err}");
+        }
+        let mut bad_quorum = placed;
+        bad_quorum.quorum = 4;
+        assert!(nilicon_engine(bad_quorum).is_err());
     }
 }

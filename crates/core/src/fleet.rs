@@ -330,6 +330,10 @@ impl FleetScheduler {
     /// must be unique. Boundaries are staggered by `i·E/N` unless
     /// `cfg.opts.fleet_aligned` is set, which also downgrades the shared
     /// link from deficit-round-robin to FIFO to demonstrate the convoy.
+    ///
+    /// Each lane runs a plain single-backup [`NiLiConEngine`] that never
+    /// ships a replay log and never re-arms, so `backups > 1`,
+    /// `hybrid_replay` and `rearm` are rejected rather than ignored.
     pub fn new(cfg: ReplicationConfig, lanes: Vec<LaneSpec>) -> SimResult<Self> {
         let n = lanes.len();
         if n == 0 || cfg.opts.fleet as usize != n {
@@ -337,6 +341,17 @@ impl FleetScheduler {
                 "fleet: opts.fleet ({}) must equal the lane count ({n})",
                 cfg.opts.fleet
             )));
+        }
+        for (set, knob) in [
+            (cfg.opts.backups > 1, "backups > 1"),
+            (cfg.opts.hybrid_replay, "hybrid_replay"),
+            (cfg.opts.rearm, "rearm"),
+        ] {
+            if set {
+                return Err(SimError::Invalid(format!(
+                    "fleet: {knob} does not compose with the fleet lanes yet"
+                )));
+            }
         }
         let mut cluster = Cluster::new();
         let primary = cluster.add_host(Kernel::default());

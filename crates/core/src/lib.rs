@@ -88,6 +88,7 @@
 #![warn(missing_docs)]
 
 pub mod backup;
+mod capture;
 pub mod config;
 pub mod detector;
 pub mod engine;

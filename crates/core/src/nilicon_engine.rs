@@ -1,6 +1,8 @@
-//! The primary-side NiLiCon replication engine (§IV, §V).
+//! The primary-side NiLiCon replication engine (§IV, §V): the shared
+//! capture agent plus one buffered warm backup.
 
 use crate::backup::BackupAgent;
+use crate::capture::{self, Capture, Stopped};
 use crate::config::OptimizationConfig;
 use crate::engine::{
     BootstrapBegin, BootstrapStep, CheckpointOutcome, Checkpointer, FailoverReport, LogShipOutcome,
@@ -8,64 +10,37 @@ use crate::engine::{
 };
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
-use nilicon_criu::{
-    bootstrap_dump, dump_container, CheckpointImage, DeltaStats, InfrequentCache, PageKey,
-    RestoreConfig, RestoredContainer, ShadowStore,
-};
-use nilicon_drbd::{DrbdMsg, DrbdPrimary};
+use nilicon_criu::{DeltaStats, PageEncoding, PageKey, RestoredContainer, ShadowStore};
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::mem::TrackingMode;
-use nilicon_sim::net::InputMode;
-use nilicon_sim::replay::{ReplayEvent, ReplayLog};
+use nilicon_sim::replay::ReplayEvent;
 use nilicon_sim::time::Nanos;
-use nilicon_sim::{SimError, SimResult, PAGE_SIZE};
-use std::collections::BTreeMap;
+use nilicon_sim::{PageBuf, SimError, SimResult, PAGE_SIZE};
+
+/// One chunk of pages in wire form: full pages, or XOR deltas.
+type WireChunk = (Vec<(Pid, u64, PageBuf)>, Vec<(Pid, u64, PageEncoding)>);
 
 /// NiLiCon's primary-side engine plus the buffered backup agent.
 pub struct NiLiConEngine {
-    opts: OptimizationConfig,
-    cache: InfrequentCache,
+    cap: Capture,
     /// Backup agent (public for Table V accounting and failover tests).
     pub agent: BackupAgent,
-    drbd: DrbdPrimary,
     /// Primary-side shadow of the page contents last shipped to the backup —
     /// the base for the next epoch's XOR deltas (`delta_transfer`).
     shadow: ShadowStore,
-    prepared: bool,
-    tracer: Tracer,
     /// Cost model retained so `rearm_prepare` can rebuild the replica-side
     /// structures (a replacement backup starts from an empty agent).
     costs: nilicon_sim::CostModel,
-    /// Address spaces still holding COW-deferred bootstrap pages (empty
-    /// outside an active re-replication bootstrap).
-    bootstrap_pids: Vec<Pid>,
-    /// Backup CPU charged by `bootstrap_begin` (metadata + DRBD resync
-    /// receive), carried into the first `bootstrap_step`'s accounting.
-    bootstrap_cpu_carry: Nanos,
     /// Test-only fault injection: abort the COW drain after this many page
     /// chunks have been streamed, as if the primary died mid-copy. The
     /// epoch's assembly is never finished at the backup, so it can never be
     /// acked or committed — failover must fall back to the previous epoch.
     pub cow_fail_after_chunks: Option<u64>,
-    /// Backup-side store of the shipped nondeterminism logs, keyed by epoch
-    /// (`hybrid_replay` extension). Lives engine-side next to the agent — log
-    /// chunks are event-typed, not page-typed, so they do not ride the page
-    /// assembly barrier, but they share its fate: `rearm_prepare` drops them
-    /// with the dead backup.
-    log_store: BTreeMap<u64, ReplayLog>,
     /// Test-only fault injection: the primary dies after shipping this many
     /// log chunks — later chunks (and the seal message) are lost in flight,
     /// leaving the tail epoch's log *partial*. Failover must then take the
     /// plain last-checkpoint fallback instead of replaying.
     pub log_fail_after_chunks: Option<u64>,
-    /// Log chunks shipped so far (drives `log_fail_after_chunks`).
-    log_chunks_shipped: u64,
-    /// Staged-pipeline extension: ack-path work of the previous epoch's
-    /// pipeline not yet overlapped by execution time. `pipeline_advance`
-    /// drains it once per epoch; whatever remains at the next checkpoint
-    /// stalls the stop phase (backpressure).
-    pipe_backlog: Nanos,
     /// Test-only fault injection (staged pipeline): the backup-ingest stage
     /// crashes once, right after receiving this zero-based chunk index. The
     /// supervisor restarts the stage and the chunk replays from the upstream
@@ -77,7 +52,7 @@ pub struct NiLiConEngine {
 impl std::fmt::Debug for NiLiConEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NiLiConEngine")
-            .field("opts", &self.opts)
+            .field("opts", &self.cap.opts)
             .field("agent", &self.agent)
             .finish()
     }
@@ -88,43 +63,19 @@ impl NiLiConEngine {
     /// [`OptimizationConfig::optimize_criu`] (radix tree vs linked list).
     pub fn new(opts: OptimizationConfig, costs: nilicon_sim::CostModel) -> Self {
         NiLiConEngine {
-            opts,
-            cache: InfrequentCache::new(),
+            cap: Capture::new(opts),
             agent: BackupAgent::new(costs.clone(), opts.optimize_criu),
-            drbd: DrbdPrimary::new(),
             shadow: ShadowStore::new(),
-            prepared: false,
-            tracer: Tracer::disabled(),
             costs,
-            bootstrap_pids: Vec::new(),
-            bootstrap_cpu_carry: 0,
             cow_fail_after_chunks: None,
-            log_store: BTreeMap::new(),
             log_fail_after_chunks: None,
-            log_chunks_shipped: 0,
-            pipe_backlog: 0,
             stage_fail_at_chunk: None,
         }
     }
 
-    /// Is the log-loss fault injection currently swallowing chunks?
-    fn log_link_down(&self) -> bool {
-        self.log_fail_after_chunks
-            .is_some_and(|k| self.log_chunks_shipped >= k)
-    }
-
     /// Active optimization set.
     pub fn opts(&self) -> OptimizationConfig {
-        self.opts
-    }
-
-    fn transfer_cost(&self, primary: &Kernel, bytes: u64, msgs: u64) -> Nanos {
-        let c = &primary.costs;
-        let mut t = c.repl_link_latency + c.repl_wire(bytes) + msgs * c.repl_msg_overhead;
-        if self.opts.dump_config().via_proxy {
-            t += c.proxy_overhead(bytes, msgs);
-        }
-        t
+        self.cap.opts
     }
 
     /// COW extension: the background copy-out of the pages write-protected
@@ -146,93 +97,45 @@ impl NiLiConEngine {
     fn cow_stream(
         &mut self,
         primary: &mut Kernel,
-        mut img: CheckpointImage,
-        msgs: Vec<DrbdMsg>,
-        drbd_bytes: u64,
-        drbd_msgs: u64,
+        mut s: Stopped,
         epoch: u64,
     ) -> SimResult<(Nanos, u64, Nanos)> {
-        /// Pages per streamed chunk (the same batch size
-        /// `CheckpointImage::transfer_chunks` models for the eager path).
-        const COW_CHUNK: usize = 64;
-        let costs = primary.costs.clone();
-        let link = costs.repl_link_latency;
+        let link = primary.costs.repl_link_latency;
+        let deferred = std::mem::take(&mut s.img.deferred_vpns);
+        let pids = capture::deferred_pids(&deferred);
+        let (meta_ser, meta_bytes, mut backup_cpu) =
+            self.open_stream(primary, s, deferred.len() as u64);
 
-        let deferred = std::mem::take(&mut img.deferred_vpns);
-        let expected = deferred.len() as u64;
-        let mut pids: Vec<Pid> = Vec::new();
-        for &(pid, _) in &deferred {
-            if !pids.contains(&pid) {
-                pids.push(pid);
-            }
-        }
-
-        // Chunk 0: metadata + DRBD, ready immediately. `transfer_cost`
-        // includes the propagation latency; peel it off — in the pipelined
-        // model it is paid once, after the last chunk is serialized.
-        let meta_bytes = img.state_bytes() + drbd_bytes;
-        let meta_ser =
-            self.transfer_cost(primary, meta_bytes, img.transfer_chunks() + drbd_msgs) - link;
-        let mut backup_cpu = self.agent.begin_assembly(img, expected);
-        backup_cpu += self.agent.ingest_drbd(msgs);
-
-        let delta = self.opts.delta_transfer;
+        let delta = self.cap.opts.delta_transfer;
         let mut dstats = DeltaStats::default();
-        let mut drained = 0u64;
         let mut payload_bytes = 0u64;
         let mut chunks_sent = 0u64;
         let mut t_drain: Nanos = 0; // when chunk i finishes copy-out
         let mut t_send: Nanos = meta_ser; // when the link finishes chunk i
         let mut aborted = false;
-        'drain: for &pid in &pids {
-            loop {
-                let m0 = primary.meter.lifetime_total();
-                let chunk = primary.cow_drain_pages(pid, COW_CHUNK)?;
-                if chunk.is_empty() {
-                    break;
-                }
-                let n = chunk.len() as u64;
-                // Delta composition: encode at copy time against the shadow
-                // of the last shipped epoch — the encode CPU rides the
-                // drain, off the stop phase.
-                let (pages, deltas, bytes) = if delta {
-                    primary.meter.charge(n * costs.delta_encode_per_page);
-                    let mut encs = Vec::with_capacity(chunk.len());
-                    let mut bytes = 0u64;
-                    for (vpn, data) in chunk {
-                        let enc = self.shadow.encode(PageKey { pid, vpn }, &data, &mut dstats);
-                        bytes += enc.encoded_bytes();
-                        encs.push((pid, vpn, enc));
-                    }
-                    (Vec::new(), encs, bytes)
-                } else {
-                    let pages: Vec<_> = chunk.into_iter().map(|(vpn, d)| (pid, vpn, d)).collect();
-                    (pages, Vec::new(), n * PAGE_SIZE as u64)
-                };
-                t_drain += primary.meter.lifetime_total() - m0;
-                t_send = t_send.max(t_drain) + costs.repl_wire(bytes) + costs.repl_msg_overhead;
-                drained += n;
-                payload_bytes += bytes;
-                chunks_sent += 1;
-                let ingest_cpu = self.agent.ingest_chunk(epoch, pages, deltas)?;
-                backup_cpu += ingest_cpu;
-                if self.stage_fail_at_chunk.is_some_and(|k| k + 1 == chunks_sent) {
-                    // Ingest-stage crash: the chunk replays from the upstream
-                    // queue — received twice, applied once (the crashed
-                    // attempt died before mutating the assembly).
-                    self.stage_fail_at_chunk = None;
-                    backup_cpu += ingest_cpu;
-                    self.tracer.mark(TraceEvent::StageRestart {
-                        stage: "ingest".into(),
-                        chunk: chunks_sent - 1,
-                    });
-                }
-                if self.cow_fail_after_chunks.is_some_and(|k| chunks_sent >= k) {
-                    aborted = true;
-                    break 'drain;
-                }
-            }
-        }
+        let m_start = primary.meter.lifetime_total();
+        let drained = capture::drain_cow(primary, &pids, u64::MAX, |p, pid, chunk| {
+            let chunk = chunk.into_iter().map(|(vpn, d)| (pid, vpn, d)).collect();
+            // Delta composition: encode at copy time against the shadow of
+            // the last shipped epoch — the encode CPU rides the drain, off
+            // the stop phase.
+            let ((pages, deltas), bytes, _) =
+                wire_chunk(p, delta.then_some(&mut self.shadow), &mut dstats, chunk);
+            t_drain = p.meter.lifetime_total() - m_start;
+            t_send = t_send.max(t_drain) + p.costs.repl_wire(bytes) + p.costs.repl_msg_overhead;
+            payload_bytes += bytes;
+            chunks_sent += 1;
+            let cpu = self.agent.ingest_chunk(epoch, pages, deltas)?;
+            backup_cpu += cpu
+                + capture::stage_crash(
+                    &mut self.stage_fail_at_chunk,
+                    &self.cap.tracer,
+                    chunks_sent - 1,
+                    cpu,
+                );
+            aborted = self.cow_fail_after_chunks.is_some_and(|k| chunks_sent >= k);
+            Ok(!aborted)
+        })?;
         let mut faults = 0u64;
         for &pid in &pids {
             faults += primary.take_cow_faults(pid)?;
@@ -247,8 +150,8 @@ impl NiLiConEngine {
             self.agent.finish_assembly(epoch)?;
         }
 
-        let ack_delay = t_send + link + backup_cpu + link;
-        self.tracer.span(
+        let tracer = &self.cap.tracer;
+        tracer.span(
             TraceEvent::CowCopy {
                 pages: drained,
                 bytes: payload_bytes,
@@ -256,142 +159,58 @@ impl NiLiConEngine {
             t_drain,
         );
         if faults > 0 {
-            self.tracer.mark(TraceEvent::CowFault { faults });
+            tracer.mark(TraceEvent::CowFault { faults });
         }
-        if delta && self.tracer.enabled() {
-            self.tracer.mark(TraceEvent::DeltaEncode {
-                zero_pages: dstats.zero_pages,
-                delta_pages: dstats.delta_pages,
-                full_pages: dstats.full_pages,
-                raw_bytes: dstats.raw_bytes,
-                encoded_bytes: dstats.encoded_bytes,
-            });
+        if delta && tracer.enabled() {
+            tracer.mark(capture::delta_event(&dstats));
         }
-        self.tracer.span(
-            TraceEvent::Transfer {
-                bytes: meta_bytes + payload_bytes,
-            },
-            t_send + link - t_drain,
-        );
-        self.tracer
-            .span(TraceEvent::BackupIngest { probes: 0 }, backup_cpu);
-        self.tracer.span(TraceEvent::Ack, link);
-        Ok((ack_delay, meta_bytes + payload_bytes, backup_cpu))
+        let bytes = meta_bytes + payload_bytes;
+        self.cap
+            .ack_spans(bytes, t_send + link - t_drain, 0, backup_cpu, link);
+        Ok((t_send + link + backup_cpu + link, bytes, backup_cpu))
     }
 
     /// Staged-pipeline extension: the eager dump's page payload leaves the
     /// stop phase and flows through delta-encode → transfer → backup-ingest
-    /// stages overlapped with the next execution phase. The dumped pages are
-    /// immutable refcounted snapshots, so encoding them after resume cannot
-    /// race container writes — the stop phase keeps only freeze + dump +
-    /// local copy.
-    ///
-    /// The queue between encode and transfer holds [`PIPE_BOUND`] chunks:
-    /// chunk `i`'s encode cannot start before the link finished chunk
-    /// `i - PIPE_BOUND`, so the pipeline cannot run arbitrarily far ahead of
-    /// a slow link. Chunks hand off peek-before-commit — the upstream queue
-    /// keeps a chunk until the downstream stage durably accepted it, so a
-    /// crashed-and-restarted stage ([`stage_fail_at_chunk`]) replays its
-    /// in-flight chunk: charged twice in time, applied once to the assembly.
-    /// The epoch becomes ackable only at the `finish_assembly` barrier,
-    /// exactly like the synchronous path, so the committed image is
-    /// byte-identical.
+    /// stages on the shared bounded chunk clock, overlapped with the next
+    /// execution phase. The dumped pages are immutable refcounted snapshots,
+    /// so encoding them after resume cannot race container writes. The epoch
+    /// becomes ackable only at the `finish_assembly` barrier, exactly like
+    /// the synchronous path, so the committed image is byte-identical.
     ///
     /// Returns `(ack_delay, state_bytes, backup_cpu)`; the emitted
     /// `Transfer + BackupIngest + Ack` spans tile `ack_delay` exactly.
-    ///
-    /// [`stage_fail_at_chunk`]: NiLiConEngine::stage_fail_at_chunk
     fn pipeline_stream(
         &mut self,
         primary: &mut Kernel,
-        mut img: CheckpointImage,
-        msgs: Vec<DrbdMsg>,
-        drbd_bytes: u64,
-        drbd_msgs: u64,
+        mut s: Stopped,
         epoch: u64,
     ) -> SimResult<(Nanos, u64, Nanos)> {
-        /// Pages per pipelined chunk (matches `cow_stream`/`transfer_chunks`).
-        const PIPE_CHUNK: usize = 64;
-        /// Bounded-queue depth between the encode and transfer stages.
-        const PIPE_BOUND: usize = 4;
-        let costs = primary.costs.clone();
-        let link = costs.repl_link_latency;
+        let link = primary.costs.repl_link_latency;
+        let pages = std::mem::take(&mut s.img.pages);
+        let (meta_ser, meta_bytes, mut backup_cpu) =
+            self.open_stream(primary, s, pages.len() as u64);
 
-        let pages = std::mem::take(&mut img.pages);
-        let expected = pages.len() as u64;
-        // Chunk 0: metadata + DRBD, ready the moment the container resumes.
-        // `transfer_cost` includes the propagation latency; peel it off — in
-        // the pipelined model it is paid once, after the last chunk.
-        let meta_bytes = img.state_bytes() + drbd_bytes;
-        let meta_ser =
-            self.transfer_cost(primary, meta_bytes, img.transfer_chunks() + drbd_msgs) - link;
-        let mut backup_cpu = self.agent.begin_assembly(img, expected);
-        backup_cpu += self.agent.ingest_drbd(msgs);
-
-        let delta = self.opts.delta_transfer;
+        let delta = self.cap.opts.delta_transfer;
         let mut dstats = DeltaStats::default();
         let mut payload_bytes = 0u64;
-        let mut t_enc: Nanos = 0; // when the encode stage finishes chunk i
-        let mut t_send: Nanos = meta_ser; // when the link finishes chunk i
-        let mut sent_at: Vec<Nanos> = Vec::new();
-        for (i, chunk) in pages.chunks(PIPE_CHUNK).enumerate() {
-            let n = chunk.len() as u64;
-            if self.tracer.enabled() {
-                self.tracer.mark(TraceEvent::StageEnqueue {
-                    stage: "encode".into(),
-                    chunk: i as u64,
-                });
-            }
-            // Bounded handoff: the encode stage stalls while the link is
-            // PIPE_BOUND chunks behind (its output queue is full).
-            let gate = if i >= PIPE_BOUND { sent_at[i - PIPE_BOUND] } else { 0 };
-            let (pages_out, deltas_out, bytes, encode_cost) = if delta {
-                // Encode against the shadow of the last shipped epoch — the
-                // CPU rides the background stage, off the stop phase.
-                let cost = n * costs.delta_encode_per_page;
-                primary.meter.charge(cost);
-                let mut encs = Vec::with_capacity(chunk.len());
-                let mut bytes = 0u64;
-                for (pid, vpn, data) in chunk {
-                    let enc = self.shadow.encode(
-                        PageKey { pid: *pid, vpn: *vpn },
-                        data,
-                        &mut dstats,
-                    );
-                    bytes += enc.encoded_bytes();
-                    encs.push((*pid, *vpn, enc));
-                }
-                (Vec::new(), encs, bytes, cost)
-            } else {
-                (chunk.to_vec(), Vec::new(), n * PAGE_SIZE as u64, 0)
-            };
-            t_enc = t_enc.max(gate) + encode_cost;
-            // Queueing delay between encode-done and link pickup.
-            let wait = t_send.saturating_sub(t_enc);
-            t_send = t_send.max(t_enc) + costs.repl_wire(bytes) + costs.repl_msg_overhead;
-            sent_at.push(t_send);
-            payload_bytes += bytes;
-            let ingest_cpu = self.agent.ingest_chunk(epoch, pages_out, deltas_out)?;
-            backup_cpu += ingest_cpu;
-            if self.stage_fail_at_chunk.is_some_and(|k| k == i as u64) {
-                // Ingest-stage crash: the chunk replays from the upstream
-                // queue — received twice, applied once (the crashed attempt
-                // died before mutating the assembly).
-                self.stage_fail_at_chunk = None;
-                backup_cpu += ingest_cpu;
-                self.tracer.mark(TraceEvent::StageRestart {
-                    stage: "ingest".into(),
-                    chunk: i as u64,
-                });
-            }
-            if self.tracer.enabled() {
-                self.tracer.mark(TraceEvent::StageDequeue {
-                    stage: "transfer".into(),
-                    chunk: i as u64,
-                    wait,
-                });
-            }
-        }
+        let costs = primary.costs.clone();
+        let t_send =
+            capture::pipeline_clock(&self.cap.tracer, &costs, meta_ser, &pages, |i, chunk| {
+                // Encode against the shadow of the last shipped epoch — the CPU
+                // rides the background stage, off the stop phase.
+                let ((pages, deltas), bytes, encode_cost) = wire_chunk(
+                    primary,
+                    delta.then_some(&mut self.shadow),
+                    &mut dstats,
+                    chunk.to_vec(),
+                );
+                payload_bytes += bytes;
+                let cpu = self.agent.ingest_chunk(epoch, pages, deltas)?;
+                backup_cpu += cpu
+                    + capture::stage_crash(&mut self.stage_fail_at_chunk, &self.cap.tracer, i, cpu);
+                Ok((encode_cost, bytes))
+            })?;
         // The encode CPU was charged to the background stage; it must not
         // bill the next exec phase's interval meter.
         primary.meter.take();
@@ -399,27 +218,55 @@ impl NiLiConEngine {
         // Commit barrier: the epoch becomes ackable only now.
         self.agent.finish_assembly(epoch)?;
 
-        let ack_delay = t_send + link + backup_cpu + link;
-        if delta && self.tracer.enabled() {
-            self.tracer.mark(TraceEvent::DeltaEncode {
-                zero_pages: dstats.zero_pages,
-                delta_pages: dstats.delta_pages,
-                full_pages: dstats.full_pages,
-                raw_bytes: dstats.raw_bytes,
-                encoded_bytes: dstats.encoded_bytes,
-            });
+        if delta && self.cap.tracer.enabled() {
+            self.cap.tracer.mark(capture::delta_event(&dstats));
         }
-        self.tracer.span(
-            TraceEvent::Transfer {
-                bytes: meta_bytes + payload_bytes,
-            },
-            t_send + link,
-        );
-        self.tracer
-            .span(TraceEvent::BackupIngest { probes: 0 }, backup_cpu);
-        self.tracer.span(TraceEvent::Ack, link);
-        Ok((ack_delay, meta_bytes + payload_bytes, backup_cpu))
+        let bytes = meta_bytes + payload_bytes;
+        self.cap
+            .ack_spans(bytes, t_send + link, 0, backup_cpu, link);
+        Ok((t_send + link + backup_cpu + link, bytes, backup_cpu))
     }
+
+    /// Open a streamed epoch's assembly at the backup: the metadata image
+    /// and the DRBD traffic form chunk 0, ready the moment the container
+    /// resumes. Returns `(meta_ser, meta_bytes, backup_cpu)`: `meta_ser` is
+    /// the link time of chunk 0 without the propagation latency, which the
+    /// streamed model pays once, after the last chunk.
+    fn open_stream(&mut self, primary: &Kernel, s: Stopped, pages: u64) -> (Nanos, u64, Nanos) {
+        let meta_bytes = s.img.state_bytes() + s.wire.bytes;
+        let msgs = s.img.transfer_chunks() + s.msgs.len() as u64;
+        let meta_ser = self.cap.transfer_cost(&primary.costs, meta_bytes, msgs)
+            - primary.costs.repl_link_latency;
+        let cpu = self.agent.begin_assembly(s.img, pages) + self.agent.ingest_drbd(s.msgs);
+        (meta_ser, meta_bytes, cpu)
+    }
+}
+
+/// Put `chunk` in wire form: full pages, or — given the delta `shadow` —
+/// XOR deltas against the last shipped epoch, their encode CPU charged to
+/// `primary`. Returns the chunk, its wire bytes and the encode cost.
+fn wire_chunk(
+    primary: &mut Kernel,
+    shadow: Option<&mut ShadowStore>,
+    dstats: &mut DeltaStats,
+    chunk: Vec<(Pid, u64, PageBuf)>,
+) -> (WireChunk, u64, Nanos) {
+    let n = chunk.len() as u64;
+    let Some(shadow) = shadow else {
+        return ((chunk, Vec::new()), n * PAGE_SIZE as u64, 0);
+    };
+    let cost = n * primary.costs.delta_encode_per_page;
+    primary.meter.charge(cost);
+    let mut bytes = 0u64;
+    let encs = chunk
+        .into_iter()
+        .map(|(pid, vpn, data)| {
+            let enc = shadow.encode(PageKey { pid, vpn }, &data, dstats);
+            bytes += enc.encoded_bytes();
+            (pid, vpn, enc)
+        })
+        .collect();
+    ((Vec::new(), encs), bytes, cost)
 }
 
 impl Checkpointer for NiLiConEngine {
@@ -428,7 +275,7 @@ impl Checkpointer for NiLiConEngine {
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.cap.tracer = tracer;
     }
 
     fn inject_stage_fail(&mut self, chunk: u64) {
@@ -436,32 +283,7 @@ impl Checkpointer for NiLiConEngine {
     }
 
     fn prepare(&mut self, primary: &mut Kernel, container: &Container) -> SimResult<()> {
-        // Arm soft-dirty tracking on every container address space. No
-        // clear_refs here: everything the application wrote during init is
-        // still soft-dirty, so the first incremental checkpoint captures the
-        // full initial state (the initial sync).
-        let mode = if self.opts.pml_tracking {
-            TrackingMode::HardwareLog
-        } else {
-            TrackingMode::SoftDirty
-        };
-        for pid in container.all_pids() {
-            primary.mm_mut(pid)?.set_tracking(mode);
-        }
-        // Input-blocking mechanism (§V-C).
-        let mode = if self.opts.plug_input_blocking {
-            InputMode::Buffer
-        } else {
-            InputMode::Drop
-        };
-        primary
-            .stack_mut(container.ns.net)?
-            .input_gate
-            .set_mode(mode);
-        // Output commit: plug the egress qdisc for the whole run.
-        primary.stack_mut(container.ns.net)?.plugged = true;
-        self.prepared = true;
-        Ok(())
+        self.cap.prepare(primary, container)
     }
 
     fn checkpoint(
@@ -471,194 +293,63 @@ impl Checkpointer for NiLiConEngine {
         container: &Container,
         epoch: u64,
     ) -> SimResult<CheckpointOutcome> {
-        if !self.prepared {
-            return Err(SimError::Invalid("engine not prepared".into()));
-        }
-        let cfg = self.opts.dump_config();
+        let opts = self.cap.opts;
         // The staged pipeline needs the staging buffer (§V-D(2)) to overlap
         // the ack path with execution; COW has its own streaming drain, so
         // the eager pipelined path covers the remaining shape.
-        let pipelined = self.opts.pipeline && self.opts.staging_buffer && !cfg.cow;
-        primary.meter.take();
+        let cow = opts.cow_checkpoint;
+        let pipelined = opts.pipeline && opts.staging_buffer && !cow;
+        // Delta-encode the page payload for the wire (HyCoR extension) in
+        // the stop phase — unless COW defers the pages (encoding moves to
+        // the background drain) or the staged pipeline encodes the dumped
+        // snapshots in its background encode stage.
+        let shadow = (opts.delta_transfer && !cow && !pipelined).then_some(&mut self.shadow);
+        let s = self.cap.stop_phase(primary, container, epoch, shadow)?;
+        let (dirty_pages, mut stop_time) = (s.dirty_pages, s.stop_time);
 
-        // --- Stop phase -------------------------------------------------
-        // Phase boundaries are sampled off the lifetime meter so the emitted
-        // trace spans telescope exactly to the final `stop_time`.
-        let m_start = primary.meter.lifetime_total();
-        primary.freeze_cgroup(container.cgroup, cfg.freeze)?;
-        // Block network input (§III): even frozen, RX would mutate state.
-        let block_cost = if self.opts.plug_input_blocking {
-            primary.costs.plug_block_cycle
+        let (ack_delay, state_bytes, backup_cpu) = if cow {
+            // The container is already running; drain the write-protected
+            // pages into staging and stream them to the backup.
+            self.cow_stream(primary, s, epoch)?
+        } else if pipelined {
+            self.pipeline_stream(primary, s, epoch)?
         } else {
-            primary.costs.firewall_block_cycle
-        };
-        primary.meter.charge(block_cost);
-        primary.stack_mut(container.ns.net)?.block_input();
-        let m_frozen = primary.meter.lifetime_total();
-
-        // Incremental dump.
-        let cache = if self.opts.cache_infrequent {
-            Some(&mut self.cache)
-        } else {
-            None
-        };
-        let mut img = dump_container(primary, container, &cfg, cache, epoch)?;
-        let dirty_pages = img.stats.dirty_pages;
-        let dump_phases = img.stats.phases;
-        let m_dumped = primary.meter.lifetime_total();
-
-        // Delta-encode the page payload for the wire (HyCoR extension):
-        // classify each dirty page against the shadow of the last shipped
-        // epoch. The encode CPU is part of the stop phase — it must finish
-        // before the container resumes, or the parasite's page contents
-        // could change under the encoder. Under COW the pages are deferred,
-        // so encoding moves to the background drain (`cow_stream`); under the
-        // staged pipeline the dumped pages are immutable snapshots, so
-        // encoding moves to the background encode stage (`pipeline_stream`).
-        let delta_stats = if self.opts.delta_transfer && !cfg.cow && !pipelined {
-            let stats = img.encode_pages(&mut self.shadow);
-            primary
-                .meter
-                .charge(stats.pages() * primary.costs.delta_encode_per_page);
-            Some(stats)
-        } else {
-            None
-        };
-        let m_encoded = primary.meter.lifetime_total();
-        let state_bytes = img.state_bytes();
-        let chunks = img.transfer_chunks();
-
-        // DRBD: ship this epoch's disk writes + barrier (async — the wire
-        // time of disk writes does not stop the container).
-        let mut msgs = self.drbd.ship(&mut primary.vfs.disk);
-        msgs.push(self.drbd.barrier(epoch));
-        let wire = nilicon_drbd::wire_stats(&msgs);
-        let drbd_msgs = msgs.len() as u64;
-
-        // Resume.
-        primary.stack_mut(container.ns.net)?.unblock_input();
-        primary.thaw_cgroup(container.cgroup)?;
-        let m_resumed = primary.meter.lifetime_total();
-        let mut stop_time = primary.meter.take();
-
-        self.tracer.span(TraceEvent::Freeze, m_frozen - m_start);
-        self.tracer.span(TraceEvent::Dump { dirty_pages }, m_dumped - m_frozen);
-        if self.tracer.enabled() {
-            self.tracer.mark(TraceEvent::DumpDetail {
-                processes: dump_phases.processes,
-                pages: dump_phases.pages,
-                sockets: dump_phases.sockets,
-                fs_cache: dump_phases.fs_cache,
-                infrequent: dump_phases.infrequent,
-            });
-        }
-        if let Some(ds) = delta_stats {
-            self.tracer.span(
-                TraceEvent::DeltaEncode {
-                    zero_pages: ds.zero_pages,
-                    delta_pages: ds.delta_pages,
-                    full_pages: ds.full_pages,
-                    raw_bytes: ds.raw_bytes,
-                    encoded_bytes: ds.encoded_bytes,
-                },
-                m_encoded - m_dumped,
-            );
-        }
-        self.tracer.span(TraceEvent::LocalCopy, m_resumed - m_encoded);
-        self.tracer.mark(TraceEvent::DrbdShip {
-            writes: wire.writes,
-            bytes: wire.bytes,
-        });
-
-        // Staged pipeline: if the previous epoch's pipeline has not fully
-        // drained, the stop phase stalls until the backlog clears. A link
-        // slower than the epoch's execution phase thus degrades toward the
-        // paper's synchronous behavior instead of queueing unboundedly.
-        if self.opts.pipeline && self.pipe_backlog > 0 {
-            let stalled = std::mem::take(&mut self.pipe_backlog);
-            stop_time += stalled;
-            self.tracer.span(TraceEvent::Backpressure { stalled }, stalled);
-        }
-
-        // --- Transfer + ack --------------------------------------------
-        // COW: the container is already running; drain the write-protected
-        // pages into staging and stream them to the backup, chunk by chunk.
-        if cfg.cow {
-            let (ack_delay, state_bytes, backup_cpu) =
-                self.cow_stream(primary, img, msgs, wire.bytes, drbd_msgs, epoch)?;
-            if self.opts.pipeline {
-                self.pipe_backlog = ack_delay;
+            let state_bytes = s.img.state_bytes() + s.wire.bytes;
+            // Without the staging buffer the parasite pipes pages out one at
+            // a time, so the synchronous transfer pays per-page message
+            // overheads (part of what §V-D(2)+(3) eliminate).
+            let mut msgs = s.img.transfer_chunks() + s.msgs.len() as u64;
+            if !opts.staging_buffer {
+                msgs += dirty_pages;
             }
-            return Ok(CheckpointOutcome {
-                stop_time,
-                state_bytes,
-                dirty_pages,
-                ack_delay,
-                backup_cpu,
-            });
-        }
-
-        // Staged pipeline (eager dump): the page payload flows through the
-        // encode → transfer → ingest stages overlapped with the next
-        // execution phase.
-        if pipelined {
-            let (ack_delay, state_bytes, backup_cpu) =
-                self.pipeline_stream(primary, img, msgs, wire.bytes, drbd_msgs, epoch)?;
-            self.pipe_backlog = ack_delay;
-            return Ok(CheckpointOutcome {
-                stop_time,
-                state_bytes,
-                dirty_pages,
-                ack_delay,
-                backup_cpu,
-            });
-        }
-
-        // Without the staging buffer the parasite pipes pages out one at a
-        // time, so the synchronous transfer pays per-page message overheads
-        // (part of what §V-D(2)+(3) eliminate).
-        let transfer_msgs = if self.opts.staging_buffer {
-            chunks
-        } else {
-            chunks + dirty_pages
+            let transfer = self.cap.transfer_cost(&primary.costs, state_bytes, msgs);
+            let link = primary.costs.repl_link_latency;
+            let backup_cpu = self.agent.ingest(s.img) + self.agent.ingest_drbd(s.msgs);
+            if opts.staging_buffer {
+                // §V-D(2): transfer overlaps the next execution phase; the
+                // ack (and output release) lands after wire + backup
+                // receive. The page-store probes happen at the deferred
+                // commit — see the `BackupCommit` marker emitted there.
+                self.cap
+                    .ack_spans(state_bytes, transfer, 0, backup_cpu, link);
+                (transfer + backup_cpu + link, state_bytes, backup_cpu)
+            } else {
+                // Without staging, the container stays stopped until the
+                // backup has consumed the state — transfer, receive, and
+                // inline commit are all on the critical path.
+                let commit_cpu = self.agent.commit(epoch, &mut backup.vfs.disk)?;
+                let (probes, _) = self.agent.last_commit_stats();
+                let ingest = backup_cpu + commit_cpu;
+                self.cap
+                    .ack_spans(state_bytes, transfer, probes, ingest, link);
+                stop_time += transfer + ingest + link;
+                (0, state_bytes, backup_cpu)
+            }
         };
-        let transfer =
-            self.transfer_cost(primary, state_bytes + wire.bytes, transfer_msgs + drbd_msgs);
-        let link = primary.costs.repl_link_latency;
-        let mut backup_cpu = self.agent.ingest(img);
-        backup_cpu += self.agent.ingest_drbd(msgs);
-        self.tracer.span(
-            TraceEvent::Transfer {
-                bytes: state_bytes + wire.bytes,
-            },
-            transfer,
-        );
-
-        let ack_delay = if self.opts.staging_buffer {
-            // §V-D(2): transfer overlaps the next execution phase; the ack
-            // (and output release) lands after wire + backup receive. The
-            // page-store probes happen at the deferred commit — see the
-            // `BackupCommit` marker emitted there.
-            self.tracer
-                .span(TraceEvent::BackupIngest { probes: 0 }, backup_cpu);
-            self.tracer.span(TraceEvent::Ack, link);
-            transfer + backup_cpu + link
-        } else {
-            // Without staging, the container stays stopped until the backup
-            // has consumed the state — transfer, receive, and inline commit
-            // are all on the critical path.
-            let commit_cpu = self.agent.commit(epoch, &mut backup.vfs.disk)?;
-            let (probes, _) = self.agent.last_commit_stats();
-            self.tracer
-                .span(TraceEvent::BackupIngest { probes }, backup_cpu + commit_cpu);
-            self.tracer.span(TraceEvent::Ack, link);
-            stop_time += transfer + backup_cpu + commit_cpu + link;
-            0
-        };
-
+        self.cap.set_backlog(ack_delay);
         Ok(CheckpointOutcome {
             stop_time,
-            state_bytes: state_bytes + wire.bytes,
+            state_bytes,
             dirty_pages,
             ack_delay,
             backup_cpu,
@@ -666,56 +357,28 @@ impl Checkpointer for NiLiConEngine {
     }
 
     fn pipeline_advance(&mut self, elapsed: Nanos) {
-        self.pipe_backlog = self.pipe_backlog.saturating_sub(elapsed);
+        self.cap.pipeline_advance(elapsed);
     }
 
     fn commit(&mut self, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
-        // Logs at or below the committed checkpoint are dead weight — their
-        // effects are inside the checkpoint image.
-        self.log_store.retain(|&e, _| e > epoch);
-        if self.opts.staging_buffer {
-            let cpu = self.agent.commit(epoch, &mut backup.vfs.disk)?;
-            if self.tracer.enabled() {
-                let (probes, disk_pages) = self.agent.last_commit_stats();
-                self.tracer
-                    .mark(TraceEvent::BackupCommit { probes, disk_pages });
-            }
-            Ok(cpu)
-        } else {
-            Ok(0) // already committed inline during the stop phase
+        self.cap.prune_logs(epoch);
+        if !self.cap.opts.staging_buffer {
+            return Ok(0); // already committed inline during the stop phase
         }
+        let cpu = self.agent.commit(epoch, &mut backup.vfs.disk)?;
+        if self.cap.tracer.enabled() {
+            let (probes, disk_pages) = self.agent.last_commit_stats();
+            self.cap
+                .tracer
+                .mark(TraceEvent::BackupCommit { probes, disk_pages });
+        }
+        Ok(cpu)
     }
 
     fn failover(&mut self, backup: &mut Kernel) -> SimResult<(RestoredContainer, FailoverReport)> {
         self.agent.discard_uncommitted();
         let img = self.agent.materialize()?;
-        let restore_cfg = RestoreConfig {
-            optimized_rto: self.opts.optimized_rto,
-            block_input: true,
-        };
-        backup.meter.take();
-        let restored = nilicon_criu::restore_container(backup, &img, &restore_cfg)?;
-        backup.meter.take();
-
-        let c = &backup.costs;
-        let rto = if self.opts.optimized_rto {
-            c.tcp_rto_repair_min
-        } else {
-            c.tcp_rto_default
-        };
-        // Sockets come back roughly half-way through the restore (fd-table
-        // restoration precedes page loading for later processes); the RTO
-        // runs concurrently with the remaining restore and the ARP
-        // broadcast. Table II reports only the non-overlapped remainder.
-        let tcp = rto.saturating_sub(restored.restore_time / 2 + c.gratuitous_arp);
-        let report = FailoverReport {
-            restore: restored.restore_time,
-            arp: c.gratuitous_arp,
-            tcp,
-            others: c.recovery_misc,
-            disk_pages_committed: 0,
-        };
-        Ok((restored, report))
+        self.cap.restore(backup, &img)
     }
 
     fn committed_epoch(&self) -> Option<u64> {
@@ -723,24 +386,15 @@ impl Checkpointer for NiLiConEngine {
     }
 
     fn supports_rearm(&self) -> bool {
-        self.opts.rearm
+        self.cap.opts.rearm
     }
 
     fn rearm_prepare(&mut self, primary: &mut Kernel, container: &Container) -> SimResult<()> {
-        // The old backup died with its buffers: every replica-side structure
-        // restarts empty, and the delta shadow is stale (the replacement has
-        // no base image to patch against).
-        self.cache = InfrequentCache::new();
-        self.agent = BackupAgent::new(self.costs.clone(), self.opts.optimize_criu);
-        self.drbd = DrbdPrimary::new();
+        // The replacement backup starts empty, and the delta shadow is stale
+        // (it has no base image to patch against).
+        self.agent = BackupAgent::new(self.costs.clone(), self.cap.opts.optimize_criu);
         self.shadow = ShadowStore::new();
-        self.bootstrap_pids.clear();
-        self.bootstrap_cpu_carry = 0;
-        self.log_store.clear();
-        self.log_chunks_shipped = 0;
-        self.pipe_backlog = 0;
-        self.prepared = false;
-        self.prepare(primary, container)
+        self.cap.rearm(primary, container)
     }
 
     fn bootstrap_begin(
@@ -749,64 +403,10 @@ impl Checkpointer for NiLiConEngine {
         container: &Container,
         epoch: u64,
     ) -> SimResult<BootstrapBegin> {
-        if !self.prepared {
-            return Err(SimError::Invalid("engine not prepared for bootstrap".into()));
-        }
-        let cfg = self.opts.dump_config();
-        primary.meter.take();
-
-        // Stop phase: freeze + block input, full dump with the page copies
-        // deferred via COW, DRBD full-device snapshot, resume. The container
-        // pauses for roughly one incremental epoch's stop time even though
-        // the entire image is being captured.
-        primary.freeze_cgroup(container.cgroup, cfg.freeze)?;
-        let block_cost = if self.opts.plug_input_blocking {
-            primary.costs.plug_block_cycle
-        } else {
-            primary.costs.firewall_block_cycle
-        };
-        primary.meter.charge(block_cost);
-        primary.stack_mut(container.ns.net)?.block_input();
-
-        let cache = if self.opts.cache_infrequent {
-            Some(&mut self.cache)
-        } else {
-            None
-        };
-        let mut img = bootstrap_dump(primary, container, &cfg, cache, epoch)?;
-
-        // The write log only covers history the dead backup already had; the
-        // full-device snapshot below supersedes it.
-        let _ = primary.vfs.disk.take_writes();
-        let mut msgs: Vec<DrbdMsg> = primary
-            .vfs
-            .disk
-            .full_sync_writes()
-            .into_iter()
-            .map(DrbdMsg::Write)
-            .collect();
-        msgs.push(self.drbd.barrier(epoch));
-
-        primary.stack_mut(container.ns.net)?.unblock_input();
-        primary.thaw_cgroup(container.cgroup)?;
-        let stop_time = primary.meter.take();
-
-        let deferred = std::mem::take(&mut img.deferred_vpns);
-        let total_pages = deferred.len() as u64;
-        let state_bytes = img.state_bytes();
-        self.bootstrap_pids.clear();
-        for &(pid, _) in &deferred {
-            if !self.bootstrap_pids.contains(&pid) {
-                self.bootstrap_pids.push(pid);
-            }
-        }
-        self.bootstrap_cpu_carry = self.agent.begin_assembly(img, total_pages);
-        self.bootstrap_cpu_carry += self.agent.ingest_drbd(msgs);
-        Ok(BootstrapBegin {
-            stop_time,
-            total_pages,
-            state_bytes,
-        })
+        self.cap
+            .bootstrap_begin(primary, container, epoch, |img, msgs, total| {
+                self.agent.begin_assembly(img, total) + self.agent.ingest_drbd(msgs)
+            })
     }
 
     fn bootstrap_step(
@@ -815,43 +415,12 @@ impl Checkpointer for NiLiConEngine {
         epoch: u64,
         max_pages: u64,
     ) -> SimResult<BootstrapStep> {
-        /// Pages per streamed message, matching `cow_stream`'s batch size.
-        const COW_CHUNK: usize = 64;
-        let mut pages = 0u64;
-        let mut bytes = 0u64;
-        let mut backup_cpu = std::mem::take(&mut self.bootstrap_cpu_carry);
-        let pids = self.bootstrap_pids.clone();
-        'drain: for &pid in &pids {
-            loop {
-                if pages >= max_pages {
-                    break 'drain;
-                }
-                let want = ((max_pages - pages) as usize).min(COW_CHUNK);
-                let chunk = primary.cow_drain_pages(pid, want)?;
-                if chunk.is_empty() {
-                    break;
-                }
-                let n = chunk.len() as u64;
-                let batch: Vec<_> = chunk.into_iter().map(|(vpn, d)| (pid, vpn, d)).collect();
-                backup_cpu += self.agent.ingest_chunk(epoch, batch, Vec::new())?;
-                pages += n;
-                bytes += n * PAGE_SIZE as u64;
-            }
-        }
-        let mut remaining = 0u64;
-        for &pid in &pids {
-            primary.take_cow_faults(pid)?;
-            remaining += primary.cow_pending(pid)? as u64;
-        }
-        // The drain rides the background thread: it must not bill the next
-        // exec phase's interval meter.
-        primary.meter.take();
-        Ok(BootstrapStep {
-            pages,
-            bytes,
-            backup_cpu,
-            remaining,
-        })
+        let agent = &mut self.agent;
+        self.cap
+            .bootstrap_step(primary, max_pages, PAGE_SIZE as u64, |_, pid, chunk| {
+                let batch = chunk.into_iter().map(|(vpn, d)| (pid, vpn, d)).collect();
+                agent.ingest_chunk(epoch, batch, Vec::new())
+            })
     }
 
     fn bootstrap_finish(&mut self, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
@@ -862,27 +431,19 @@ impl Checkpointer for NiLiConEngine {
             )));
         }
         let cpu = self.agent.commit(epoch, &mut backup.vfs.disk)?;
-        self.bootstrap_pids.clear();
+        self.cap.end_bootstrap();
         Ok(cpu)
     }
 
     fn bootstrap_abort(&mut self, primary: &mut Kernel, _container: &Container) -> SimResult<()> {
-        // Unwind the COW protect set — drain every deferred page to nowhere
-        // so the promoted container stops write-faulting — and drop the
-        // half-assembled image with the dead replacement.
-        let pids = std::mem::take(&mut self.bootstrap_pids);
-        for &pid in &pids {
-            while !primary.cow_drain_pages(pid, 64)?.is_empty() {}
-            primary.take_cow_faults(pid)?;
-        }
-        primary.meter.take();
-        self.bootstrap_cpu_carry = 0;
+        // Drop the half-assembled image with the dead replacement.
+        self.cap.bootstrap_abort(primary)?;
         let _ = self.agent.discard_uncommitted();
         Ok(())
     }
 
     fn supports_replay(&self) -> bool {
-        self.opts.hybrid_replay
+        self.cap.opts.hybrid_replay
     }
 
     fn ship_log(
@@ -891,93 +452,28 @@ impl Checkpointer for NiLiConEngine {
         epoch: u64,
         events: &[ReplayEvent],
     ) -> SimResult<LogShipOutcome> {
-        if !self.opts.hybrid_replay {
-            return Err(SimError::Invalid("hybrid_replay is off".into()));
-        }
-        if events.is_empty() {
-            return Ok(LogShipOutcome::default());
-        }
-        let c = &primary.costs;
-        let bytes: u64 = events.iter().map(ReplayEvent::byte_len).sum();
-        let backup_cpu = c.backup_recv(bytes, 1);
-        // One chunk out, one commit confirmation back — the whole point of
-        // the hybrid scheme is that this round-trip is link-scale (~tens of
-        // µs), not epoch-scale.
-        let commit_latency = c.repl_link_latency
-            + c.repl_wire(bytes)
-            + c.repl_msg_overhead
-            + backup_cpu
-            + c.repl_link_latency;
-        let link_down = self.log_link_down();
-        self.log_chunks_shipped += 1;
-        if link_down {
-            // The chunk left the primary but never arrived: the epoch's log
-            // stays short and unsealed. The caller still observes a normal
-            // send — the primary cannot know its link just died.
-            return Ok(LogShipOutcome {
-                bytes,
-                chunks: 1,
-                commit_latency,
-                backup_cpu: 0,
-            });
-        }
-        let log = self
-            .log_store
-            .entry(epoch)
-            .or_insert_with(|| ReplayLog::new(epoch));
-        log.events.extend_from_slice(events);
-        Ok(LogShipOutcome {
-            bytes,
-            chunks: 1,
-            commit_latency,
-            backup_cpu,
-        })
+        self.cap.ship_log(
+            &primary.costs,
+            epoch,
+            events,
+            1,
+            1,
+            self.log_fail_after_chunks,
+        )
     }
 
     fn seal_log(&mut self, epoch: u64) -> SimResult<()> {
-        if !self.opts.hybrid_replay {
-            return Err(SimError::Invalid("hybrid_replay is off".into()));
-        }
-        if self.log_link_down() {
-            return Ok(()); // the seal message is lost with the link
-        }
-        self.log_store
-            .entry(epoch)
-            .or_insert_with(|| ReplayLog::new(epoch))
-            .sealed = true;
-        Ok(())
+        self.cap.seal_log(epoch, self.log_fail_after_chunks)
     }
 
     fn take_replay_tail(&mut self) -> SimResult<ReplayTail> {
-        if !self.opts.hybrid_replay {
-            return Err(SimError::Invalid("hybrid_replay is off".into()));
-        }
-        let committed = self.agent.committed_epoch();
-        let store = std::mem::take(&mut self.log_store);
-        let mut tail = ReplayTail::default();
-        let mut expect = committed.map(|e| e + 1).unwrap_or(1);
-        for (epoch, log) in store {
-            if committed.is_some_and(|c| epoch <= c) {
-                continue; // already inside the checkpoint
-            }
-            if epoch != expect {
-                tail.dropped_partial = true; // gap: a whole epoch log vanished
-                break;
-            }
-            if !log.sealed {
-                tail.dropped_partial = true; // partial tail: seal never landed
-                break;
-            }
-            expect += 1;
-            tail.logs.push(log);
-        }
-        Ok(tail)
+        self.cap.take_replay_tail(self.agent.committed_epoch())
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::tests::{replay_setup, req_event};
     use nilicon_container::{ContainerRuntime, ContainerSpec, MemLayout};
     use nilicon_sim::time::MILLISECOND;
 
@@ -1432,27 +928,6 @@ mod tests {
         assert!(slow.tcp <= fast.tcp, "more RTO overlap with longer restore");
     }
 
-    fn replay_setup() -> (Kernel, Kernel, Container, NiLiConEngine) {
-        let mut primary = Kernel::default();
-        let backup = Kernel::default();
-        let spec = ContainerSpec::server("redis", 10, 6379);
-        let c = ContainerRuntime::create(&mut primary, &spec).unwrap();
-        let mut opts = OptimizationConfig::nilicon();
-        opts.hybrid_replay = true;
-        let engine = NiLiConEngine::new(opts, primary.costs.clone());
-        (primary, backup, c, engine)
-    }
-
-    fn req_event(at: u64) -> ReplayEvent {
-        ReplayEvent::Request {
-            pid: Pid(1),
-            at,
-            payload: vec![1, 2, 3],
-            response_hash: 42,
-            response_len: 3,
-        }
-    }
-
     #[test]
     fn replay_api_rejected_unless_enabled() {
         let (mut p, _b, _c, mut e) = setup(); // paper config: replay off
@@ -1479,62 +954,6 @@ mod tests {
         let z = e.ship_log(&mut p, 1, &[]).unwrap();
         assert_eq!(z.chunks, 0);
         assert_eq!(z.commit_latency, 0);
-    }
-
-    #[test]
-    fn sealed_tail_is_contiguous_from_committed_epoch() {
-        let (mut p, mut b, c, mut e) = replay_setup();
-        e.prepare(&mut p, &c).unwrap();
-        e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
-        e.commit(&mut b, 1).unwrap();
-        // Epochs 2 and 3 ship + seal after the checkpoint commit.
-        e.ship_log(&mut p, 2, &[req_event(10)]).unwrap();
-        e.seal_log(2).unwrap();
-        e.ship_log(&mut p, 3, &[req_event(20), req_event(21)]).unwrap();
-        e.seal_log(3).unwrap();
-        let tail = e.take_replay_tail().unwrap();
-        assert!(!tail.dropped_partial);
-        assert_eq!(tail.logs.len(), 2);
-        assert_eq!(tail.logs[0].epoch, 2);
-        assert_eq!(tail.logs[1].epoch, 3);
-        assert_eq!(tail.events(), 3);
-    }
-
-    #[test]
-    fn commit_prunes_logs_covered_by_the_checkpoint() {
-        let (mut p, mut b, c, mut e) = replay_setup();
-        e.prepare(&mut p, &c).unwrap();
-        e.ship_log(&mut p, 1, &[req_event(0)]).unwrap();
-        e.seal_log(1).unwrap();
-        e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
-        e.commit(&mut b, 1).unwrap();
-        let tail = e.take_replay_tail().unwrap();
-        assert!(tail.logs.is_empty(), "epoch-1 log died with its checkpoint");
-        assert!(!tail.dropped_partial);
-    }
-
-    #[test]
-    fn gap_or_unsealed_log_marks_tail_partial() {
-        // Gap: epoch 2's log is missing entirely.
-        let (mut p, mut b, c, mut e) = replay_setup();
-        e.prepare(&mut p, &c).unwrap();
-        e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
-        e.commit(&mut b, 1).unwrap();
-        e.ship_log(&mut p, 3, &[req_event(30)]).unwrap();
-        e.seal_log(3).unwrap();
-        let tail = e.take_replay_tail().unwrap();
-        assert!(tail.dropped_partial, "missing epoch 2 breaks the chain");
-        assert!(tail.logs.is_empty());
-
-        // Unsealed: epoch 2 shipped but the seal never landed.
-        let (mut p2, mut b2, c2, mut e2) = replay_setup();
-        e2.prepare(&mut p2, &c2).unwrap();
-        e2.checkpoint(&mut p2, &mut b2, &c2, 1).unwrap();
-        e2.commit(&mut b2, 1).unwrap();
-        e2.ship_log(&mut p2, 2, &[req_event(10)]).unwrap();
-        let tail2 = e2.take_replay_tail().unwrap();
-        assert!(tail2.dropped_partial, "unsealed tail epoch is unusable");
-        assert!(tail2.logs.is_empty());
     }
 
     #[test]

@@ -41,14 +41,21 @@
 //! `(1,2)` is exactly the paper's 2× mirroring, `(2,3)` stores 1.5×, `(3,5)`
 //! ≈ 1.67× — coded placements beat mirroring while tolerating more faults.
 //!
-//! Modeling notes: the engine requires the staged transfer path
-//! (`staging_buffer`) and composes with neither `delta_transfer` nor
-//! `cow_checkpoint` (fragments are coded from full page bodies after the
-//! container resumes). Replica receive CPU is modeled on the padded 4 KiB
-//! page boxes the agents store, not the `frag_len` payload — wire bytes and
-//! stored-fragment accounting use the true fragment size.
+//! Modeling notes: the primary half — setup, the stop phase, the bootstrap
+//! capture and COW drain, the staged-pipeline chunk clock and backlog, the
+//! replay-log store and the failover report — is the capture agent shared
+//! with [`NiLiConEngine`](crate::NiLiConEngine) (the `capture` module), so
+//! both engines stop the container identically. This engine keeps only its
+//! sink: the codec, the replicas, the coded fan-out and ack, and coded
+//! repair. It requires the staged transfer path (`staging_buffer`) and
+//! composes with neither `delta_transfer` nor `cow_checkpoint` (fragments
+//! are coded from full page bodies after the container resumes). Replica
+//! receive CPU is modeled on the padded 4 KiB page boxes the agents store,
+//! not the `frag_len` payload — wire bytes and stored-fragment accounting
+//! use the true fragment size.
 
 use crate::backup::BackupAgent;
+use crate::capture::{self, Capture, Stopped};
 use crate::config::OptimizationConfig;
 use crate::engine::{
     BootstrapBegin, BootstrapStep, CheckpointOutcome, Checkpointer, FailoverReport, LogShipOutcome,
@@ -56,17 +63,12 @@ use crate::engine::{
 };
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
-use nilicon_criu::{
-    bootstrap_dump, dump_container, CheckpointImage, InfrequentCache, RestoreConfig,
-    RestoredContainer, ShardCodec,
-};
-use nilicon_drbd::{DrbdMsg, DrbdPrimary};
+use nilicon_criu::{CheckpointImage, RestoredContainer, ShardCodec};
+use nilicon_drbd::DrbdMsg;
 use nilicon_sim::block::BlockDevice;
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::mem::TrackingMode;
-use nilicon_sim::net::InputMode;
-use nilicon_sim::replay::{ReplayEvent, ReplayLog};
+use nilicon_sim::replay::ReplayEvent;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{PageBuf, SimError, SimResult, PAGE_SIZE};
 use std::collections::{BTreeMap, HashSet};
@@ -105,13 +107,9 @@ struct ActiveRepair {
 
 /// The k-of-n placement engine (see the module docs).
 pub struct PlacementEngine {
-    opts: OptimizationConfig,
-    cache: InfrequentCache,
+    cap: Capture,
     codec: ShardCodec,
     replicas: Vec<Replica>,
-    drbd: DrbdPrimary,
-    prepared: bool,
-    tracer: Tracer,
     costs: nilicon_sim::CostModel,
     /// Page keys of each not-yet-committed epoch (drained at commit). While
     /// a repair is active, committed keys accumulate in `redirty` so the
@@ -120,26 +118,10 @@ pub struct PlacementEngine {
     /// Keys committed while the active repair streamed its base image.
     redirty: HashSet<(Pid, u64)>,
     repair: Option<ActiveRepair>,
-    /// Address spaces still holding COW-deferred bootstrap pages (rearm).
-    bootstrap_pids: Vec<Pid>,
-    /// Replica CPU charged by `bootstrap_begin`, carried into the first
-    /// `bootstrap_step`.
-    bootstrap_cpu_carry: Nanos,
-    /// Replay logs by epoch. Each chunk is erasure-coded into n fragments
-    /// of `ceil(bytes/k)` and fanned out like epoch pages; a chunk counts
-    /// as committed at the k-th ack. The store holds the logical
-    /// (reconstructible) log — checkpoint already refuses below quorum, so
-    /// a stored chunk is always decodable from the survivors.
-    log_store: BTreeMap<u64, ReplayLog>,
     /// Test hook mirroring `NiLiConEngine::log_fail_after_chunks`: once the
     /// counter reaches the threshold, later chunks and the seal vanish in
     /// flight.
     pub log_fail_after_chunks: Option<u64>,
-    log_chunks_shipped: u64,
-    /// Staged-pipeline extension: ack-path work of the previous epoch's
-    /// fan-out not yet overlapped by execution time (see
-    /// `NiLiConEngine::pipe_backlog`).
-    pipe_backlog: Nanos,
     /// Test hook mirroring `NiLiConEngine::stage_fail_at_chunk`: the
     /// designated replica's ingest stage crashes once at this chunk index
     /// and replays it from the upstream queue (received twice, applied
@@ -154,6 +136,27 @@ impl std::fmt::Debug for PlacementEngine {
             .field("alive", &self.alive_replicas())
             .finish()
     }
+}
+
+/// Stripe `pages` across the replicas in `targets`: one batch per target,
+/// in `targets` order, holding that replica's fragment of every page
+/// zero-padded into a fresh refcounted buffer for the agent's page store
+/// (which holds 4 KiB units).
+fn frag_boxed<'a>(
+    codec: &mut ShardCodec,
+    targets: &[usize],
+    pages: impl IntoIterator<Item = &'a (Pid, u64, PageBuf)>,
+) -> Vec<FragmentBatch> {
+    let mut batches: Vec<FragmentBatch> = targets.iter().map(|_| Vec::new()).collect();
+    for (pid, vpn, data) in pages {
+        let frags = codec.encode(data);
+        for (batch, &i) in batches.iter_mut().zip(targets) {
+            let mut b = [0u8; PAGE_SIZE];
+            b[..frags[i].len()].copy_from_slice(&frags[i]);
+            batch.push((*pid, *vpn, std::rc::Rc::new(b)));
+        }
+    }
+    batches
 }
 
 impl PlacementEngine {
@@ -180,35 +183,21 @@ impl PlacementEngine {
             })
             .collect();
         Ok(PlacementEngine {
-            opts,
-            cache: InfrequentCache::new(),
+            cap: Capture::new(opts),
             codec,
             replicas,
-            drbd: DrbdPrimary::new(),
-            prepared: false,
-            tracer: Tracer::disabled(),
             costs,
             epoch_keys: BTreeMap::new(),
             redirty: HashSet::new(),
             repair: None,
-            bootstrap_pids: Vec::new(),
-            bootstrap_cpu_carry: 0,
-            log_store: BTreeMap::new(),
             log_fail_after_chunks: None,
-            log_chunks_shipped: 0,
-            pipe_backlog: 0,
             stage_fail_at_chunk: None,
         })
     }
 
-    fn log_link_down(&self) -> bool {
-        self.log_fail_after_chunks
-            .is_some_and(|k| self.log_chunks_shipped >= k)
-    }
-
     /// Active optimization set.
     pub fn opts(&self) -> OptimizationConfig {
-        self.opts
+        self.cap.opts
     }
 
     /// Bytes of one page fragment as stored per replica.
@@ -243,11 +232,6 @@ impl PlacementEngine {
             .sum()
     }
 
-    fn transfer_cost(&self, primary: &Kernel, bytes: u64, msgs: u64) -> Nanos {
-        let c = &primary.costs;
-        c.repl_link_latency + c.repl_wire(bytes) + msgs * c.repl_msg_overhead
-    }
-
     fn alive_indices(&self) -> Vec<usize> {
         self.replicas
             .iter()
@@ -257,13 +241,11 @@ impl PlacementEngine {
             .collect()
     }
 
-    /// Zero-padded fragment `idx` of `page`, as a fresh refcounted buffer
-    /// for the agent's page store (which holds 4 KiB units).
-    fn frag_boxed(&mut self, page: &[u8; PAGE_SIZE], idx: usize) -> PageBuf {
-        let frags = self.codec.encode(page);
-        let mut b = [0u8; PAGE_SIZE];
-        b[..frags[idx].len()].copy_from_slice(&frags[idx]);
-        std::rc::Rc::new(b)
+    /// Commit `epoch` on replica `i`. Replica 0's disk is the harness's
+    /// real backup kernel's device.
+    fn commit_replica(&mut self, i: usize, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
+        let Replica { agent, disk, .. } = &mut self.replicas[i];
+        agent.commit(epoch, if i == 0 { &mut backup.vfs.disk } else { disk })
     }
 
     /// Reconstruct the committed image byte-identically from the fragment
@@ -341,7 +323,7 @@ impl Checkpointer for PlacementEngine {
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.cap.tracer = tracer;
     }
 
     fn inject_stage_fail(&mut self, chunk: u64) {
@@ -349,26 +331,7 @@ impl Checkpointer for PlacementEngine {
     }
 
     fn prepare(&mut self, primary: &mut Kernel, container: &Container) -> SimResult<()> {
-        let mode = if self.opts.pml_tracking {
-            TrackingMode::HardwareLog
-        } else {
-            TrackingMode::SoftDirty
-        };
-        for pid in container.all_pids() {
-            primary.mm_mut(pid)?.set_tracking(mode);
-        }
-        let mode = if self.opts.plug_input_blocking {
-            InputMode::Buffer
-        } else {
-            InputMode::Drop
-        };
-        primary
-            .stack_mut(container.ns.net)?
-            .input_gate
-            .set_mode(mode);
-        primary.stack_mut(container.ns.net)?.plugged = true;
-        self.prepared = true;
-        Ok(())
+        self.cap.prepare(primary, container)
     }
 
     fn checkpoint(
@@ -378,9 +341,6 @@ impl Checkpointer for PlacementEngine {
         container: &Container,
         epoch: u64,
     ) -> SimResult<CheckpointOutcome> {
-        if !self.prepared {
-            return Err(SimError::Invalid("engine not prepared".into()));
-        }
         let k = self.codec.k() as usize;
         let alive = self.alive_indices();
         if alive.len() < k {
@@ -389,311 +349,137 @@ impl Checkpointer for PlacementEngine {
                 alive.len()
             )));
         }
-        let cfg = self.opts.dump_config();
-        primary.meter.take();
-
-        // --- Stop phase (identical to the NiLiCon staged path) -----------
-        let m_start = primary.meter.lifetime_total();
-        primary.freeze_cgroup(container.cgroup, cfg.freeze)?;
-        let block_cost = if self.opts.plug_input_blocking {
-            primary.costs.plug_block_cycle
-        } else {
-            primary.costs.firewall_block_cycle
-        };
-        primary.meter.charge(block_cost);
-        primary.stack_mut(container.ns.net)?.block_input();
-        let m_frozen = primary.meter.lifetime_total();
-
-        let cache = if self.opts.cache_infrequent {
-            Some(&mut self.cache)
-        } else {
-            None
-        };
-        let mut img = dump_container(primary, container, &cfg, cache, epoch)?;
-        let dirty_pages = img.stats.dirty_pages;
-        let dump_phases = img.stats.phases;
-        let m_dumped = primary.meter.lifetime_total();
-
-        let chunks = img.transfer_chunks();
-        let mut msgs = self.drbd.ship(&mut primary.vfs.disk);
-        msgs.push(self.drbd.barrier(epoch));
-        let wire = nilicon_drbd::wire_stats(&msgs);
-        let drbd_msgs = msgs.len() as u64;
-
-        primary.stack_mut(container.ns.net)?.unblock_input();
-        primary.thaw_cgroup(container.cgroup)?;
-        let m_resumed = primary.meter.lifetime_total();
-        let mut stop_time = primary.meter.take();
-
-        self.tracer.span(TraceEvent::Freeze, m_frozen - m_start);
-        self.tracer
-            .span(TraceEvent::Dump { dirty_pages }, m_dumped - m_frozen);
-        if self.tracer.enabled() {
-            self.tracer.mark(TraceEvent::DumpDetail {
-                processes: dump_phases.processes,
-                pages: dump_phases.pages,
-                sockets: dump_phases.sockets,
-                fs_cache: dump_phases.fs_cache,
-                infrequent: dump_phases.infrequent,
-            });
-        }
-        self.tracer.span(TraceEvent::LocalCopy, m_resumed - m_dumped);
-        self.tracer.mark(TraceEvent::DrbdShip {
-            writes: wire.writes,
-            bytes: wire.bytes,
-        });
-
-        // Staged pipeline: a previous epoch's undrained fan-out stalls this
-        // stop phase (backpressure) instead of queueing unboundedly.
-        if self.opts.pipeline && self.pipe_backlog > 0 {
-            let stalled = std::mem::take(&mut self.pipe_backlog);
-            stop_time += stalled;
-            self.tracer.span(TraceEvent::Backpressure { stalled }, stalled);
-        }
+        let Stopped {
+            mut img,
+            msgs,
+            wire,
+            dirty_pages,
+            stop_time,
+        } = self.cap.stop_phase(primary, container, epoch, None)?;
 
         // --- Shard encode + parallel fan-out (ack path) ------------------
         // The container is already running. Erasure-code each dirty page
         // into n fragments and ship fragment i to replica i behind the
-        // assembly barrier. All replica links run in parallel.
+        // assembly barrier. All replica links run in parallel; each carries
+        // the image chunks plus the DRBD writes and barrier.
+        let wire_msgs = img.transfer_chunks() + msgs.len() as u64;
         let pages = std::mem::take(&mut img.pages);
         let n_pages = pages.len() as u64;
         let meta_bytes = img.state_bytes();
         let frag_len = self.codec.frag_len() as u64;
         let frag_bytes = n_pages * frag_len;
+        let state_bytes = meta_bytes + frag_bytes + wire.bytes;
+        let shard_commit = TraceEvent::ShardCommit {
+            shards: self.codec.n(),
+            pages: n_pages,
+            frag_bytes,
+        };
 
         self.epoch_keys.insert(
             epoch,
             pages.iter().map(|&(pid, vpn, _)| (pid, vpn)).collect(),
         );
 
-        let link = primary.costs.repl_link_latency;
-        let (ack_delay, total_cpu) = if self.opts.pipeline {
-            // --- Staged pipeline: chunked stripe fan-out -----------------
-            // Each 64-page chunk is erasure-coded and striped to all alive
-            // replicas as soon as it is encoded, with the shard-encode stage
-            // at most PIPE_BOUND chunks ahead of the (parallel) links. The
-            // per-replica assembly barrier still gates the ack, so the
-            // committed fragment stores are byte-identical to the
-            // whole-epoch fan-out.
-            const PIPE_CHUNK: usize = 64;
-            const PIPE_BOUND: usize = 4;
-            let alive_idx = self.alive_indices();
-            let first_alive = alive_idx[0];
-            let meta_ser = self
-                .transfer_cost(primary, meta_bytes + wire.bytes, chunks + drbd_msgs)
-                - link;
-            let mut per_cpu: Vec<Nanos> = vec![0; self.replicas.len()];
-            for &i in &alive_idx {
-                per_cpu[i] = self.replicas[i].agent.begin_assembly(img.clone(), n_pages);
+        // Every alive replica opens the epoch's assembly with the metadata
+        // image; the per-replica barrier gates the ack, so the committed
+        // fragment stores are the same whether the pages arrive as one batch
+        // or as staged chunks.
+        let first = alive[0];
+        let mut per_cpu: Vec<Nanos> = vec![0; self.replicas.len()];
+        for &i in &alive {
+            per_cpu[i] = self.replicas[i].agent.begin_assembly(img.clone(), n_pages);
+        }
+        // Stripe a batch of pages to the alive replicas. A staged chunk can
+        // hit the designated replica's ingest-stage crash.
+        let mut fan_out = |batch: &[(Pid, u64, PageBuf)], staged: Option<u64>| -> SimResult<()> {
+            for (&i, frags) in alive.iter().zip(frag_boxed(&mut self.codec, &alive, batch)) {
+                let cpu = self.replicas[i]
+                    .agent
+                    .ingest_chunk(epoch, frags, Vec::new())?;
+                per_cpu[i] += cpu;
+                if let (true, Some(chunk)) = (i == first, staged) {
+                    let tracer = &self.cap.tracer;
+                    per_cpu[i] +=
+                        capture::stage_crash(&mut self.stage_fail_at_chunk, tracer, chunk, cpu);
+                }
             }
-            let mut t_enc: Nanos = 0;
-            let mut t_send: Nanos = meta_ser;
-            let mut sent_at: Vec<Nanos> = Vec::new();
-            for (ci, chunk) in pages.chunks(PIPE_CHUNK).enumerate() {
-                if self.tracer.enabled() {
-                    self.tracer.mark(TraceEvent::StageEnqueue {
-                        stage: "encode".into(),
-                        chunk: ci as u64,
-                    });
-                }
-                let gate = if ci >= PIPE_BOUND { sent_at[ci - PIPE_BOUND] } else { 0 };
-                let mut chunk_batches: Vec<FragmentBatch> =
-                    self.replicas.iter().map(|_| Vec::new()).collect();
-                for (pid, vpn, data) in chunk {
-                    let frags = self.codec.encode(data);
-                    for (i, frag) in frags.iter().enumerate() {
-                        if !self.replicas[i].alive {
-                            continue;
-                        }
-                        let mut b = [0u8; PAGE_SIZE];
-                        b[..frag.len()].copy_from_slice(frag);
-                        chunk_batches[i].push((*pid, *vpn, std::rc::Rc::new(b)));
-                    }
-                }
-                let n = chunk.len() as u64;
-                t_enc = t_enc.max(gate) + n * primary.costs.shard_encode_per_page;
-                let wait = t_send.saturating_sub(t_enc);
+            Ok(())
+        };
+        let costs = primary.costs.clone();
+        let link = costs.repl_link_latency;
+        let pipeline = self.cap.opts.pipeline;
+        let t_send = if pipeline {
+            // Staged pipeline: each chunk is erasure-coded and striped as
+            // soon as it is encoded, on the shared bounded chunk clock.
+            let meta = meta_bytes + wire.bytes;
+            let meta_ser = self.cap.transfer_cost(&costs, meta, wire_msgs) - link;
+            capture::pipeline_clock(&self.cap.tracer, &costs, meta_ser, &pages, |ci, chunk| {
+                fan_out(chunk, Some(ci))?;
                 // Replica links run in parallel: one chunk's wire time is a
                 // single fragment batch.
-                t_send = t_send.max(t_enc)
-                    + primary.costs.repl_wire(n * frag_len)
-                    + primary.costs.repl_msg_overhead;
-                sent_at.push(t_send);
-                for (i, batch) in chunk_batches.into_iter().enumerate() {
-                    if !self.replicas[i].alive {
-                        continue;
-                    }
-                    let cpu = self.replicas[i].agent.ingest_chunk(epoch, batch, Vec::new())?;
-                    per_cpu[i] += cpu;
-                    if i == first_alive
-                        && self.stage_fail_at_chunk.is_some_and(|k| k == ci as u64)
-                    {
-                        // Ingest-stage crash on the designated replica: the
-                        // chunk replays from the upstream queue — received
-                        // twice, applied once.
-                        self.stage_fail_at_chunk = None;
-                        per_cpu[i] += cpu;
-                        self.tracer.mark(TraceEvent::StageRestart {
-                            stage: "ingest".into(),
-                            chunk: ci as u64,
-                        });
-                    }
-                }
-                if self.tracer.enabled() {
-                    self.tracer.mark(TraceEvent::StageDequeue {
-                        stage: "transfer".into(),
-                        chunk: ci as u64,
-                        wait,
-                    });
-                }
-            }
-            for &i in &alive_idx {
-                let agent = &mut self.replicas[i].agent;
-                agent.finish_assembly(epoch)?;
-                per_cpu[i] += agent.ingest_drbd(msgs.clone());
-            }
-            let ingest_one = per_cpu[first_alive];
+                let n = chunk.len() as u64;
+                Ok((n * costs.shard_encode_per_page, n * frag_len))
+            })?
+        } else {
+            fan_out(&pages, None)?;
+            0
+        };
+        for &i in &alive {
+            let agent = &mut self.replicas[i].agent;
+            agent.finish_assembly(epoch)?;
+            per_cpu[i] += agent.ingest_drbd(msgs.clone());
+        }
+        let ingest_one = per_cpu[first];
+        let ack_delay = if pipeline {
             // Shard encode moved to a background stage: the marker keeps the
             // fan-out observable while Transfer + BackupIngest + Ack tile
             // the ack delay.
-            self.tracer.mark(TraceEvent::ShardCommit {
-                shards: self.codec.n(),
-                pages: n_pages,
-                frag_bytes,
-            });
-            self.tracer.span(
-                TraceEvent::Transfer {
-                    bytes: meta_bytes + frag_bytes + wire.bytes,
-                },
-                t_send + link,
-            );
-            self.tracer
-                .span(TraceEvent::BackupIngest { probes: 0 }, ingest_one);
-            self.tracer.span(TraceEvent::Ack, link);
-            (
-                t_send + link + ingest_one + link,
-                per_cpu.iter().sum::<Nanos>(),
-            )
+            self.cap.tracer.mark(shard_commit);
+            self.cap
+                .ack_spans(state_bytes, t_send + link, 0, ingest_one, link);
+            t_send + link + ingest_one + link
         } else {
-            let mut batches: Vec<FragmentBatch> = self
-                .replicas
-                .iter()
-                .map(|r| {
-                    if r.alive {
-                        Vec::with_capacity(pages.len())
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            for (pid, vpn, data) in &pages {
-                let frags = self.codec.encode(data);
-                for (i, frag) in frags.iter().enumerate() {
-                    if !self.replicas[i].alive {
-                        continue;
-                    }
-                    let mut b = [0u8; PAGE_SIZE];
-                    b[..frag.len()].copy_from_slice(frag);
-                    batches[i].push((*pid, *vpn, std::rc::Rc::new(b)));
-                }
-            }
-            let shard_cpu = n_pages * primary.costs.shard_encode_per_page;
-
-            let mut total_cpu: Nanos = 0;
-            let mut ingest_one: Nanos = 0;
-            for (i, batch) in batches.into_iter().enumerate() {
-                if !self.replicas[i].alive {
-                    continue;
-                }
-                let agent = &mut self.replicas[i].agent;
-                let mut cpu = agent.begin_assembly(img.clone(), n_pages);
-                cpu += agent.ingest_chunk(epoch, batch, Vec::new())?;
-                agent.finish_assembly(epoch)?;
-                cpu += agent.ingest_drbd(msgs.clone());
-                total_cpu += cpu;
-                if ingest_one == 0 {
-                    ingest_one = cpu;
-                }
-            }
-
-            let transfer = self.transfer_cost(
-                primary,
-                meta_bytes + frag_bytes + wire.bytes,
-                chunks + drbd_msgs,
-            );
-            self.tracer.span(
-                TraceEvent::ShardCommit {
-                    shards: self.codec.n(),
-                    pages: n_pages,
-                    frag_bytes,
-                },
-                shard_cpu,
-            );
-            self.tracer.span(
-                TraceEvent::Transfer {
-                    bytes: meta_bytes + frag_bytes + wire.bytes,
-                },
-                transfer,
-            );
-            self.tracer
-                .span(TraceEvent::BackupIngest { probes: 0 }, ingest_one);
-            self.tracer.span(TraceEvent::Ack, link);
-            (shard_cpu + transfer + ingest_one + link, total_cpu)
+            let shard_cpu = n_pages * costs.shard_encode_per_page;
+            let transfer = self.cap.transfer_cost(&costs, state_bytes, wire_msgs);
+            self.cap.tracer.span(shard_commit, shard_cpu);
+            self.cap
+                .ack_spans(state_bytes, transfer, 0, ingest_one, link);
+            shard_cpu + transfer + ingest_one + link
         };
-        if self.opts.pipeline {
-            self.pipe_backlog = ack_delay;
-        }
+        self.cap.set_backlog(ack_delay);
 
         Ok(CheckpointOutcome {
             stop_time,
-            state_bytes: meta_bytes + frag_bytes + wire.bytes,
+            state_bytes,
             dirty_pages,
             ack_delay,
-            backup_cpu: total_cpu,
+            backup_cpu: per_cpu.iter().sum(),
         })
     }
 
     fn pipeline_advance(&mut self, elapsed: Nanos) {
-        self.pipe_backlog = self.pipe_backlog.saturating_sub(elapsed);
+        self.cap.pipeline_advance(elapsed);
     }
 
     fn commit(&mut self, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
-        self.log_store.retain(|&e, _| e > epoch);
+        self.cap.prune_logs(epoch);
         let mut cpu: Nanos = 0;
         let mut marked = false;
-        for i in 0..self.replicas.len() {
-            if !self.replicas[i].alive {
-                continue;
-            }
-            let c = if i == 0 {
-                self.replicas[i].agent.commit(epoch, &mut backup.vfs.disk)?
-            } else {
-                let (agent, disk) = {
-                    let r = &mut self.replicas[i];
-                    (&mut r.agent, &mut r.disk)
-                };
-                agent.commit(epoch, disk)?
-            };
-            cpu += c;
-            if !marked && self.tracer.enabled() {
+        for i in self.alive_indices() {
+            cpu += self.commit_replica(i, backup, epoch)?;
+            if !marked && self.cap.tracer.enabled() {
                 let (probes, disk_pages) = self.replicas[i].agent.last_commit_stats();
-                self.tracer
+                self.cap
+                    .tracer
                     .mark(TraceEvent::BackupCommit { probes, disk_pages });
                 marked = true;
             }
         }
         // Track what the active repair's base image now misses.
-        let committed: Vec<u64> = self
-            .epoch_keys
-            .range(..=epoch)
-            .map(|(&e, _)| e)
-            .collect();
-        for e in committed {
-            if let Some(keys) = self.epoch_keys.remove(&e) {
-                if self.repair.is_some() {
-                    self.redirty.extend(keys);
-                }
-            }
+        let pending = self.epoch_keys.split_off(&(epoch + 1));
+        let committed = std::mem::replace(&mut self.epoch_keys, pending);
+        if self.repair.is_some() {
+            self.redirty.extend(committed.into_values().flatten());
         }
         Ok(cpu)
     }
@@ -710,18 +496,10 @@ impl Checkpointer for PlacementEngine {
         } else {
             0
         };
-        let restore_cfg = RestoreConfig {
-            optimized_rto: self.opts.optimized_rto,
-            block_input: true,
-        };
-        backup.meter.take();
-        let restored = nilicon_criu::restore_container(backup, &img, &restore_cfg)?;
-        backup.meter.take();
+        let (restored, mut report) = self.cap.restore(backup, &img)?;
 
         // If the designated replica (whose disk IS the backup kernel's) is
         // dead, resync the kernel disk from a surviving replica's device.
-        let mut disk_pages = 0u64;
-        let mut disk_cost: Nanos = 0;
         if !self.replicas[0].alive {
             let src = survivors
                 .iter()
@@ -733,25 +511,11 @@ impl Checkpointer for PlacementEngine {
                 })?;
             for w in self.replicas[src].disk.full_sync_writes() {
                 backup.vfs.disk.apply_replicated(&w);
-                disk_pages += 1;
+                report.disk_pages_committed += 1;
             }
-            disk_cost = disk_pages * backup.costs.restore_disk_per_page;
         }
-
-        let c = &backup.costs;
-        let rto = if self.opts.optimized_rto {
-            c.tcp_rto_repair_min
-        } else {
-            c.tcp_rto_default
-        };
-        let tcp = rto.saturating_sub(restored.restore_time / 2 + c.gratuitous_arp);
-        let report = FailoverReport {
-            restore: restored.restore_time,
-            arp: c.gratuitous_arp,
-            tcp,
-            others: c.recovery_misc + decode_cpu + disk_cost,
-            disk_pages_committed: disk_pages,
-        };
+        report.others +=
+            decode_cpu + report.disk_pages_committed * backup.costs.restore_disk_per_page;
         Ok((restored, report))
     }
 
@@ -764,28 +528,20 @@ impl Checkpointer for PlacementEngine {
     }
 
     fn supports_rearm(&self) -> bool {
-        self.opts.rearm
+        self.cap.opts.rearm
     }
 
     fn rearm_prepare(&mut self, primary: &mut Kernel, container: &Container) -> SimResult<()> {
         // Every replica-side structure restarts empty on fresh hosts.
-        self.cache = InfrequentCache::new();
         for r in &mut self.replicas {
-            r.agent = BackupAgent::new(self.costs.clone(), self.opts.optimize_criu);
+            r.agent = BackupAgent::new(self.costs.clone(), self.cap.opts.optimize_criu);
             r.disk = BlockDevice::default();
             r.alive = true;
         }
-        self.pipe_backlog = 0;
-        self.drbd = DrbdPrimary::new();
         self.epoch_keys.clear();
         self.redirty.clear();
         self.repair = None;
-        self.bootstrap_pids.clear();
-        self.bootstrap_cpu_carry = 0;
-        self.log_store.clear();
-        self.log_chunks_shipped = 0;
-        self.prepared = false;
-        self.prepare(primary, container)
+        self.cap.rearm(primary, container)
     }
 
     fn bootstrap_begin(
@@ -794,61 +550,16 @@ impl Checkpointer for PlacementEngine {
         container: &Container,
         epoch: u64,
     ) -> SimResult<BootstrapBegin> {
-        if !self.prepared {
-            return Err(SimError::Invalid("engine not prepared for bootstrap".into()));
-        }
-        let cfg = self.opts.dump_config();
-        primary.meter.take();
-
-        primary.freeze_cgroup(container.cgroup, cfg.freeze)?;
-        let block_cost = if self.opts.plug_input_blocking {
-            primary.costs.plug_block_cycle
-        } else {
-            primary.costs.firewall_block_cycle
-        };
-        primary.meter.charge(block_cost);
-        primary.stack_mut(container.ns.net)?.block_input();
-
-        let cache = if self.opts.cache_infrequent {
-            Some(&mut self.cache)
-        } else {
-            None
-        };
-        let mut img = bootstrap_dump(primary, container, &cfg, cache, epoch)?;
-
-        let _ = primary.vfs.disk.take_writes();
-        let mut msgs: Vec<DrbdMsg> = primary
-            .vfs
-            .disk
-            .full_sync_writes()
-            .into_iter()
-            .map(DrbdMsg::Write)
-            .collect();
-        msgs.push(self.drbd.barrier(epoch));
-
-        primary.stack_mut(container.ns.net)?.unblock_input();
-        primary.thaw_cgroup(container.cgroup)?;
-        let stop_time = primary.meter.take();
-
-        let deferred = std::mem::take(&mut img.deferred_vpns);
-        let total_pages = deferred.len() as u64;
-        let state_bytes = img.state_bytes();
-        self.bootstrap_pids.clear();
-        for &(pid, _) in &deferred {
-            if !self.bootstrap_pids.contains(&pid) {
-                self.bootstrap_pids.push(pid);
-            }
-        }
-        self.bootstrap_cpu_carry = 0;
-        for r in self.replicas.iter_mut().filter(|r| r.alive) {
-            self.bootstrap_cpu_carry += r.agent.begin_assembly(img.clone(), total_pages);
-            self.bootstrap_cpu_carry += r.agent.ingest_drbd(msgs.clone());
-        }
-        Ok(BootstrapBegin {
-            stop_time,
-            total_pages,
-            state_bytes,
-        })
+        let replicas = &mut self.replicas;
+        self.cap
+            .bootstrap_begin(primary, container, epoch, |img, msgs, total| {
+                let mut cpu = 0;
+                for r in replicas.iter_mut().filter(|r| r.alive) {
+                    cpu += r.agent.begin_assembly(img.clone(), total);
+                    cpu += r.agent.ingest_drbd(msgs.clone());
+                }
+                cpu
+            })
     }
 
     fn bootstrap_step(
@@ -857,87 +568,39 @@ impl Checkpointer for PlacementEngine {
         epoch: u64,
         max_pages: u64,
     ) -> SimResult<BootstrapStep> {
-        /// Pages per streamed message (matches the COW drain batch size).
-        const COW_CHUNK: usize = 64;
-        let mut pages = 0u64;
-        let mut bytes = 0u64;
-        let mut backup_cpu = std::mem::take(&mut self.bootstrap_cpu_carry);
-        let pids = self.bootstrap_pids.clone();
-        let frag_len = self.codec.frag_len() as u64;
         let alive = self.alive_indices();
-        'drain: for &pid in &pids {
-            loop {
-                if pages >= max_pages {
-                    break 'drain;
-                }
-                let want = ((max_pages - pages) as usize).min(COW_CHUNK);
-                let chunk = primary.cow_drain_pages(pid, want)?;
-                if chunk.is_empty() {
-                    break;
-                }
+        let bytes_per_page = self.codec.frag_len() as u64 * alive.len() as u64;
+        let (codec, replicas) = (&mut self.codec, &mut self.replicas);
+        self.cap
+            .bootstrap_step(primary, max_pages, bytes_per_page, |p, pid, chunk| {
                 let n = chunk.len() as u64;
-                let mut batches: Vec<FragmentBatch> =
-                    vec![Vec::with_capacity(chunk.len()); self.replicas.len()];
-                for (vpn, data) in chunk {
-                    for &i in &alive {
-                        batches[i].push((pid, vpn, self.frag_boxed(&data, i)));
-                    }
+                let chunk: Vec<_> = chunk.into_iter().map(|(vpn, d)| (pid, vpn, d)).collect();
+                let mut cpu = n * p.costs.shard_encode_per_page;
+                for (&i, batch) in alive.iter().zip(frag_boxed(codec, &alive, &chunk)) {
+                    cpu += replicas[i].agent.ingest_chunk(epoch, batch, Vec::new())?;
                 }
-                for (i, batch) in batches.into_iter().enumerate() {
-                    if self.replicas[i].alive {
-                        backup_cpu += self.replicas[i].agent.ingest_chunk(epoch, batch, Vec::new())?;
-                    }
-                }
-                backup_cpu += n * primary.costs.shard_encode_per_page;
-                pages += n;
-                bytes += n * frag_len * alive.len() as u64;
-            }
-        }
-        let mut remaining = 0u64;
-        for &pid in &pids {
-            primary.take_cow_faults(pid)?;
-            remaining += primary.cow_pending(pid)? as u64;
-        }
-        primary.meter.take();
-        Ok(BootstrapStep {
-            pages,
-            bytes,
-            backup_cpu,
-            remaining,
-        })
+                Ok(cpu)
+            })
     }
 
     fn bootstrap_finish(&mut self, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
         let mut cpu: Nanos = 0;
-        for i in 0..self.replicas.len() {
-            if !self.replicas[i].alive {
-                continue;
-            }
-            self.replicas[i].agent.finish_assembly(epoch)?;
-            if !self.replicas[i].agent.epoch_complete(epoch) {
+        for i in self.alive_indices() {
+            let agent = &mut self.replicas[i].agent;
+            agent.finish_assembly(epoch)?;
+            if !agent.epoch_complete(epoch) {
                 return Err(SimError::Invalid(format!(
                     "bootstrap epoch {epoch} sealed without its disk barrier on replica {i}"
                 )));
             }
-            cpu += if i == 0 {
-                self.replicas[i].agent.commit(epoch, &mut backup.vfs.disk)?
-            } else {
-                let r = &mut self.replicas[i];
-                r.agent.commit(epoch, &mut r.disk)?
-            };
+            cpu += self.commit_replica(i, backup, epoch)?;
         }
-        self.bootstrap_pids.clear();
+        self.cap.end_bootstrap();
         Ok(cpu)
     }
 
     fn bootstrap_abort(&mut self, primary: &mut Kernel, _container: &Container) -> SimResult<()> {
-        let pids = std::mem::take(&mut self.bootstrap_pids);
-        for &pid in &pids {
-            while !primary.cow_drain_pages(pid, 64)?.is_empty() {}
-            primary.take_cow_faults(pid)?;
-        }
-        primary.meter.take();
-        self.bootstrap_cpu_carry = 0;
+        self.cap.bootstrap_abort(primary)?;
         for r in self.replicas.iter_mut().filter(|r| r.alive) {
             let _ = r.agent.discard_uncommitted();
         }
@@ -945,7 +608,7 @@ impl Checkpointer for PlacementEngine {
     }
 
     fn supports_placement(&self) -> bool {
-        self.opts.backups > 1
+        self.cap.opts.backups > 1
     }
 
     fn placement(&self) -> (u32, u32) {
@@ -979,7 +642,8 @@ impl Checkpointer for PlacementEngine {
         // opens its assembly (sealed by `repair_finish`). Epochs committed
         // while the base streams accumulate in `redirty` and are topped up
         // at finish — the target is excluded from epoch traffic until then.
-        self.replicas[target].agent = BackupAgent::new(self.costs.clone(), self.opts.optimize_criu);
+        self.replicas[target].agent =
+            BackupAgent::new(self.costs.clone(), self.cap.opts.optimize_criu);
         self.replicas[target].disk = BlockDevice::default();
         let cpu_carry = self.replicas[target]
             .agent
@@ -1000,15 +664,13 @@ impl Checkpointer for PlacementEngine {
 
     fn repair_step(&mut self, _epoch: u64, max_pages: u64) -> SimResult<BootstrapStep> {
         let Some(mut rep) = self.repair.take() else {
-            return Err(SimError::Invalid("repair_step with no active repair".into()));
+            return Err(SimError::Invalid(
+                "repair_step with no active repair".into(),
+            ));
         };
         let take = ((rep.base_pages.len() - rep.cursor) as u64).min(max_pages) as usize;
-        let mut batch = Vec::with_capacity(take);
-        for p in rep.cursor..rep.cursor + take {
-            let (pid, vpn, ref data) = rep.base_pages[p];
-            let frag = self.frag_boxed(data, rep.target);
-            batch.push((pid, vpn, frag));
-        }
+        let span = &rep.base_pages[rep.cursor..rep.cursor + take];
+        let batch = frag_boxed(&mut self.codec, &[rep.target], span).remove(0);
         rep.cursor += take;
         let k = self.codec.k() as u64;
         let frag_len = self.codec.frag_len() as u64;
@@ -1019,9 +681,10 @@ impl Checkpointer for PlacementEngine {
         let bytes = pages * frag_len * k;
         let mut backup_cpu = std::mem::take(&mut rep.cpu_carry)
             + pages * (self.costs.shard_decode_per_page + self.costs.shard_encode_per_page);
-        backup_cpu += self.replicas[rep.target]
-            .agent
-            .ingest_chunk(rep.base_epoch, batch, Vec::new())?;
+        backup_cpu +=
+            self.replicas[rep.target]
+                .agent
+                .ingest_chunk(rep.base_epoch, batch, Vec::new())?;
         let remaining = (rep.base_pages.len() - rep.cursor) as u64;
         self.repair = Some(rep);
         Ok(BootstrapStep {
@@ -1034,11 +697,15 @@ impl Checkpointer for PlacementEngine {
 
     fn repair_finish(&mut self, backup: &mut Kernel, _epoch: u64) -> SimResult<Nanos> {
         let Some(rep) = self.repair.take() else {
-            return Err(SimError::Invalid("repair_finish with no active repair".into()));
+            return Err(SimError::Invalid(
+                "repair_finish with no active repair".into(),
+            ));
         };
         if rep.cursor < rep.base_pages.len() {
             self.repair = Some(rep);
-            return Err(SimError::Invalid("repair base image not fully streamed".into()));
+            return Err(SimError::Invalid(
+                "repair base image not fully streamed".into(),
+            ));
         }
         let target = rep.target;
         let k = self.codec.k() as usize;
@@ -1055,20 +722,10 @@ impl Checkpointer for PlacementEngine {
         let mut msgs: Vec<DrbdMsg> = src.into_iter().map(DrbdMsg::Write).collect();
         msgs.push(DrbdMsg::Barrier(rep.base_epoch));
 
-        let mut cpu: Nanos = 0;
-        {
-            let agent = &mut self.replicas[target].agent;
-            cpu += agent.ingest_drbd(msgs);
-            agent.finish_assembly(rep.base_epoch)?;
-        }
-        cpu += if target == 0 {
-            self.replicas[target]
-                .agent
-                .commit(rep.base_epoch, &mut backup.vfs.disk)?
-        } else {
-            let r = &mut self.replicas[target];
-            r.agent.commit(rep.base_epoch, &mut r.disk)?
-        };
+        let agent = &mut self.replicas[target].agent;
+        let mut cpu = agent.ingest_drbd(msgs);
+        agent.finish_assembly(rep.base_epoch)?;
+        cpu += self.commit_replica(target, backup, rep.base_epoch)?;
 
         // Top-up: pages committed while the base streamed, at their current
         // committed values, plus the current metadata image.
@@ -1084,29 +741,19 @@ impl Checkpointer for PlacementEngine {
             }
             let mut meta = current.clone();
             let all_pages = std::mem::take(&mut meta.pages);
-            let mut batch = Vec::new();
-            for (pid, vpn, data) in &all_pages {
-                if self.redirty.contains(&(*pid, *vpn)) {
-                    batch.push((*pid, *vpn, self.frag_boxed(data, target)));
-                }
-            }
+            let redirty = &self.redirty;
+            let dirty = all_pages
+                .iter()
+                .filter(|(pid, vpn, _)| redirty.contains(&(*pid, *vpn)));
+            let batch = frag_boxed(&mut self.codec, &[target], dirty).remove(0);
             let n = batch.len() as u64;
             cpu += n * (self.costs.shard_decode_per_page + self.costs.shard_encode_per_page);
-            {
-                let agent = &mut self.replicas[target].agent;
-                cpu += agent.begin_assembly(meta, n);
-                cpu += agent.ingest_chunk(cur_epoch, batch, Vec::new())?;
-                cpu += agent.ingest_drbd(vec![DrbdMsg::Barrier(cur_epoch)]);
-                agent.finish_assembly(cur_epoch)?;
-            }
-            cpu += if target == 0 {
-                self.replicas[target]
-                    .agent
-                    .commit(cur_epoch, &mut backup.vfs.disk)?
-            } else {
-                let r = &mut self.replicas[target];
-                r.agent.commit(cur_epoch, &mut r.disk)?
-            };
+            let agent = &mut self.replicas[target].agent;
+            cpu += agent.begin_assembly(meta, n);
+            cpu += agent.ingest_chunk(cur_epoch, batch, Vec::new())?;
+            cpu += agent.ingest_drbd(vec![DrbdMsg::Barrier(cur_epoch)]);
+            agent.finish_assembly(cur_epoch)?;
+            cpu += self.commit_replica(target, backup, cur_epoch)?;
         }
         self.redirty.clear();
         self.replicas[target].alive = true;
@@ -1115,7 +762,9 @@ impl Checkpointer for PlacementEngine {
 
     fn repair_abort(&mut self) -> SimResult<()> {
         let Some(rep) = self.repair.take() else {
-            return Err(SimError::Invalid("repair_abort with no active repair".into()));
+            return Err(SimError::Invalid(
+                "repair_abort with no active repair".into(),
+            ));
         };
         // The replacement host died with its half-regenerated store; the
         // target stays dead until a later attempt rebuilds it from scratch.
@@ -1125,7 +774,7 @@ impl Checkpointer for PlacementEngine {
     }
 
     fn supports_replay(&self) -> bool {
-        self.opts.hybrid_replay
+        self.cap.opts.hybrid_replay
     }
 
     fn ship_log(
@@ -1134,96 +783,31 @@ impl Checkpointer for PlacementEngine {
         epoch: u64,
         events: &[ReplayEvent],
     ) -> SimResult<LogShipOutcome> {
-        if !self.opts.hybrid_replay {
-            return Err(SimError::Invalid("hybrid_replay is off".into()));
-        }
-        if events.is_empty() {
-            return Ok(LogShipOutcome::default());
-        }
+        // Each replica receives one fragment of ceil(bytes/k); a chunk
+        // counts as committed at the k-th ack. The store holds the logical
+        // (reconstructible) log — checkpoint already refuses below quorum,
+        // so a stored chunk is always decodable from the survivors.
+        let fanout = self.alive_replicas() as usize;
         let k = self.codec.k() as u64;
-        let alive = self.alive_indices();
-        if (alive.len() as u64) < k {
-            return Err(SimError::Invalid(format!(
-                "cannot ship log below quorum: {} alive, need {k}",
-                alive.len()
-            )));
-        }
-        let c = &primary.costs;
-        let bytes: u64 = events.iter().map(ReplayEvent::byte_len).sum();
-        // Each replica receives one fragment of ceil(bytes/k); the links
-        // fan out in parallel, so the quorum (k-th) ack and the slowest
-        // coincide with uniform replicas — exactly the page path's model.
-        let frag_bytes = bytes.div_ceil(k);
-        let per_replica_cpu = c.backup_recv(frag_bytes, 1);
-        let commit_latency = c.repl_link_latency
-            + c.repl_wire(frag_bytes)
-            + c.repl_msg_overhead
-            + per_replica_cpu
-            + c.repl_link_latency;
-        let link_down = self.log_link_down();
-        self.log_chunks_shipped += 1;
-        if link_down {
-            return Ok(LogShipOutcome {
-                bytes: frag_bytes * alive.len() as u64,
-                chunks: 1,
-                commit_latency,
-                backup_cpu: 0,
-            });
-        }
-        let log = self
-            .log_store
-            .entry(epoch)
-            .or_insert_with(|| ReplayLog::new(epoch));
-        log.events.extend_from_slice(events);
-        Ok(LogShipOutcome {
-            bytes: frag_bytes * alive.len() as u64,
-            chunks: 1,
-            commit_latency,
-            backup_cpu: per_replica_cpu * alive.len() as u64,
-        })
+        self.cap.ship_log(
+            &primary.costs,
+            epoch,
+            events,
+            k,
+            fanout,
+            self.log_fail_after_chunks,
+        )
     }
 
     fn seal_log(&mut self, epoch: u64) -> SimResult<()> {
-        if !self.opts.hybrid_replay {
-            return Err(SimError::Invalid("hybrid_replay is off".into()));
-        }
-        if self.log_link_down() {
-            return Ok(()); // the seal vanishes with the link
-        }
-        self.log_store
-            .entry(epoch)
-            .or_insert_with(|| ReplayLog::new(epoch))
-            .sealed = true;
-        Ok(())
+        self.cap.seal_log(epoch, self.log_fail_after_chunks)
     }
 
     fn take_replay_tail(&mut self) -> SimResult<ReplayTail> {
-        if !self.opts.hybrid_replay {
-            return Err(SimError::Invalid("hybrid_replay is off".into()));
-        }
         let committed = self.committed_epoch();
-        let store = std::mem::take(&mut self.log_store);
-        let mut tail = ReplayTail::default();
-        let mut expect = committed.map(|e| e + 1).unwrap_or(1);
-        for (epoch, log) in store {
-            if committed.is_some_and(|c| epoch <= c) {
-                continue;
-            }
-            if epoch != expect {
-                tail.dropped_partial = true;
-                break;
-            }
-            if !log.sealed {
-                tail.dropped_partial = true;
-                break;
-            }
-            expect += 1;
-            tail.logs.push(log);
-        }
-        Ok(tail)
+        self.cap.take_replay_tail(committed)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1322,21 +906,53 @@ mod tests {
 
     #[test]
     fn placement_image_matches_single_backup_nilicon() {
-        // The committed image reconstructed from shards must be
-        // byte-identical to the image a plain NiLiCon warm backup holds
+        // Both engines run the one shared stop phase: every epoch they stop
+        // the container for the same time, capture the same dirty pages and
+        // emit the same stop-phase records, and a rearm's bootstrap capture
+        // matches too. The committed image reconstructed from shards must
+        // be byte-identical to the image a plain NiLiCon warm backup holds
         // after the same writes.
+        let run = |e: &mut dyn Checkpointer, p: &mut Kernel, b: &mut Kernel, c: &Container| {
+            let (tracer, ring) = Tracer::in_memory(1024);
+            e.set_tracer(tracer.clone());
+            e.prepare(p, c).unwrap();
+            let mut stops = Vec::new();
+            for epoch in 1..=5u64 {
+                apply(p, c, epoch);
+                tracer.begin_epoch(epoch, 0);
+                let o = e.checkpoint(p, b, c, epoch).unwrap();
+                e.commit(b, epoch).unwrap();
+                stops.push((o.stop_time, o.dirty_pages));
+            }
+            let stop_records: Vec<_> = ring
+                .snapshot()
+                .into_iter()
+                .filter(|r| {
+                    matches!(
+                        r.kind,
+                        TraceEvent::Freeze
+                            | TraceEvent::Dump { .. }
+                            | TraceEvent::DumpDetail { .. }
+                            | TraceEvent::LocalCopy
+                            | TraceEvent::DrbdShip { .. }
+                    )
+                })
+                .collect();
+            (stops, stop_records)
+        };
+        let bootstrap = |e: &mut dyn Checkpointer, p: &mut Kernel, c: &Container| {
+            e.rearm_prepare(p, c).unwrap();
+            let begin = e.bootstrap_begin(p, c, 6).unwrap();
+            (begin.stop_time, begin.total_pages, begin.state_bytes)
+        };
+
         let mut opts = OptimizationConfig::nilicon();
         let mut pa = Kernel::default();
         let mut ba = Kernel::default();
         let ca =
             ContainerRuntime::create(&mut pa, &ContainerSpec::server("redis", 10, 6379)).unwrap();
         let mut ea = NiLiConEngine::new(opts, pa.costs.clone());
-        ea.prepare(&mut pa, &ca).unwrap();
-        for epoch in 1..=5u64 {
-            apply(&mut pa, &ca, epoch);
-            ea.checkpoint(&mut pa, &mut ba, &ca, epoch).unwrap();
-            ea.commit(&mut ba, epoch).unwrap();
-        }
+        let (stops_a, records_a) = run(&mut ea, &mut pa, &mut ba, &ca);
         let img_a = ea.agent.materialize().unwrap();
 
         opts.backups = 3;
@@ -1346,14 +962,12 @@ mod tests {
         let cb =
             ContainerRuntime::create(&mut pb, &ContainerSpec::server("redis", 10, 6379)).unwrap();
         let mut eb = PlacementEngine::new(opts, pb.costs.clone()).unwrap();
-        eb.prepare(&mut pb, &cb).unwrap();
-        for epoch in 1..=5u64 {
-            apply(&mut pb, &cb, epoch);
-            eb.checkpoint(&mut pb, &mut bb, &cb, epoch).unwrap();
-            eb.commit(&mut bb, epoch).unwrap();
-        }
+        let (stops_b, records_b) = run(&mut eb, &mut pb, &mut bb, &cb);
         let img_b = eb.reconstruct_committed(&[1, 2]).unwrap();
 
+        assert_eq!(stops_a, stops_b, "per-epoch (stop_time, dirty_pages)");
+        assert_eq!(records_a.len(), 5 * 5, "five stop-phase records per epoch");
+        assert_eq!(records_a, records_b, "stop-phase trace records");
         assert_eq!(img_a.pages.len(), img_b.pages.len());
         for (x, y) in img_a.pages.iter().zip(img_b.pages.iter()) {
             assert_eq!((x.0, x.1), (y.0, y.1));
@@ -1361,6 +975,12 @@ mod tests {
         }
         assert_eq!(pa.vfs.disk.digest(), pb.vfs.disk.digest());
         assert_eq!(ba.vfs.disk.digest(), bb.vfs.disk.digest());
+
+        assert_eq!(
+            bootstrap(&mut ea, &mut pa, &ca),
+            bootstrap(&mut eb, &mut pb, &cb),
+            "bootstrap (stop_time, total_pages, state_bytes)"
+        );
     }
 
     #[test]

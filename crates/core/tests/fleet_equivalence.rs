@@ -66,6 +66,44 @@ fn run_plain(
     (e.agent.materialize().unwrap(), outcomes)
 }
 
+/// A one-lane fleet with `set` applied to its knobs; returns the
+/// constructor's error message.
+fn fleet_rejects(set: impl FnOnce(&mut OptimizationConfig)) -> String {
+    let mut cfg = ReplicationConfig::default();
+    cfg.opts.fleet = 1;
+    set(&mut cfg.opts);
+    let lane = LaneSpec {
+        spec: ContainerSpec::server("redis", 10, 6379),
+        app: Box::new(Inert),
+        behavior: None,
+    };
+    match FleetScheduler::new(cfg, vec![lane]) {
+        Ok(_) => panic!("fleet accepted a knob its lanes ignore"),
+        Err(e) => e.to_string(),
+    }
+}
+
+#[test]
+fn fleet_rejects_multiple_backups() {
+    let err = fleet_rejects(|o| {
+        o.backups = 3;
+        o.quorum = 2;
+    });
+    assert!(err.contains("backups"), "{err}");
+}
+
+#[test]
+fn fleet_rejects_hybrid_replay() {
+    let err = fleet_rejects(|o| o.hybrid_replay = true);
+    assert!(err.contains("hybrid_replay"), "{err}");
+}
+
+#[test]
+fn fleet_rejects_rearm() {
+    let err = fleet_rejects(|o| o.rearm = true);
+    assert!(err.contains("rearm"), "{err}");
+}
+
 /// The same history through a one-lane fleet.
 fn run_fleet1(
     opts: OptimizationConfig,
