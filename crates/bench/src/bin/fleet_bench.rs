@@ -2,8 +2,8 @@
 //! DESIGN.md §13).
 //!
 //! ```text
-//! cargo run --release -p nilicon-bench --bin fleet_bench            # full curve
-//! cargo run --release -p nilicon-bench --bin fleet_bench -- quick   # CI smoke
+//! cargo run --release -p nilicon-bench --bin fleet_bench            # full curve (CI)
+//! cargo run --release -p nilicon-bench --bin fleet_bench -- quick   # identity + convoy only
 //! ```
 //!
 //! Three measurements, all gated (the process exits nonzero on a miss):

@@ -34,6 +34,13 @@
 //! primary, grant anchored at ack receipt on the backup, so the holder
 //! always expires first) preserves exactly-one-owner per container.
 //!
+//! Each lane's serving state and its execution window, output release,
+//! promotion and end-of-run checks are the crate-private `Lane` (`lane.rs`)
+//! the single-container harness also drives. This module keeps only what
+//! is fleet-specific: the stagger, the serial dump service, the shared link,
+//! the consolidated heartbeat, the world events (primary fault, partition),
+//! scripted writes and the committed-image seam.
+//!
 //! Off in every paper row: `OptimizationConfig::fleet == 0` in `basic()`
 //! and `nilicon()`, and Tables I–VI never construct a scheduler. With
 //! `fleet == 1` the lane commits byte-identical backup images, with the
@@ -41,38 +48,21 @@
 //! `tests/fleet_equivalence.rs`).
 
 use crate::config::ReplicationConfig;
-use crate::detector::{FailureDetector, HeartbeatSender, Lease};
+use crate::detector::{FailureDetector, Lease};
 use crate::engine::{Checkpointer, FailoverReport};
+use crate::lane::{Executed, Lane};
 use crate::metrics::{EpochRecord, RunMetrics};
 use crate::nilicon_engine::NiLiConEngine;
 use crate::trace::{TraceEvent, Tracer};
-use crate::traffic::{ClientBehavior, ClientPool};
-use nilicon_container::{
-    encode_frame, try_decode_frame, Application, Container, ContainerRuntime, ContainerSpec,
-    GuestCtx, MemLayout,
-};
+use crate::traffic::ClientBehavior;
+use nilicon_container::{Application, ContainerSpec, MemLayout};
 use nilicon_criu::CheckpointImage;
 use nilicon_sim::cluster::Cluster;
-use nilicon_sim::ids::{Endpoint, HostId};
+use nilicon_sim::ids::HostId;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::net::InputMode;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{SimError, SimResult};
-use std::collections::{HashMap, VecDeque};
-
-/// Keep-alive process cost per epoch (matches the harness).
-const KEEPALIVE_COST: Nanos = 300;
-
-/// Base address for per-lane client stacks (lane `i` gets `CLIENT_BASE+i`).
-const CLIENT_BASE: u32 = 200;
-
-fn jitter(state: &mut u64, range: Nanos) -> Nanos {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    (z ^ (z >> 31)) % range.max(1)
-}
+use std::collections::HashMap;
 
 /// One container's worth of workload handed to [`FleetScheduler::new`].
 pub struct LaneSpec {
@@ -188,39 +178,27 @@ struct StagedEpoch {
     state_bytes: u64,
     dirty_pages: u64,
     backup_cpu: Nanos,
-    exec_cpu: Nanos,
-    tracking: Nanos,
-    requests: u64,
-    completions: Vec<(Endpoint, Nanos)>,
+    exec: Executed,
 }
 
-/// One replicated container multiplexed onto the shared pair.
-struct Lane {
-    container: Container,
-    app: Box<dyn Application>,
-    behavior: Option<Box<dyn ClientBehavior>>,
-    pool: Option<ClientPool>,
+/// One replicated container multiplexed onto the shared pair: the shared
+/// [`Lane`] serving state plus the fleet's scheduling, detection and
+/// ownership state for it.
+struct FleetLane {
+    lane: Lane,
     /// `None` after failover consumed the engine (the lane then runs
     /// unreplicated on the backup, as the paper does not re-arm).
     engine: Option<NiLiConEngine>,
-    tracer: Tracer,
     /// Phase offset of this lane's epoch boundaries (`i·E/N`; 0 aligned).
     offset: Nanos,
     next_boundary: Nanos,
     /// Completed epochs (checkpoint seq is `epochs_done + 1`).
     epochs_done: u64,
     target: u64,
-    pending: VecDeque<(Endpoint, Vec<u8>, Nanos)>,
-    receipts: HashMap<Endpoint, VecDeque<Nanos>>,
-    metrics: RunMetrics,
-    jitter_state: u64,
-    cpu_debt: Nanos,
-    last_stop: Nanos,
     /// When this lane's own previous dump finishes on the serial service
     /// (self-carry is pipeline overlap, not queueing — see the link's
     /// `own_busy`).
     own_dump_until: Nanos,
-    sender: HeartbeatSender,
     detector: FailureDetector,
     /// Primary-side output lease (anchored at each acked epoch's end).
     holder: Lease,
@@ -234,9 +212,6 @@ struct Lane {
     /// Scripted per-epoch guest writes (equivalence tests drive lanes with
     /// the same write history a plain engine loop applies).
     script: Vec<Vec<(u64, u8)>>,
-    /// Completions whose release was deferred by a partition (no ack ⇒ no
-    /// output commit); discarded if the lane fails over.
-    held: Vec<(Endpoint, Nanos)>,
     staged: Option<StagedEpoch>,
     failover_report: Option<FailoverReport>,
     detection_latency: Option<Nanos>,
@@ -303,7 +278,7 @@ pub struct FleetScheduler {
     /// emulates its per-container fail-stop without partitioning the
     /// (still healthy) primary.
     blackhole: HostId,
-    lanes: Vec<Lane>,
+    lanes: Vec<FleetLane>,
     cfg: ReplicationConfig,
     /// Serial dump service: busy until this time (stop phases queue).
     svc_busy_until: Nanos,
@@ -367,71 +342,33 @@ impl FleetScheduler {
         let quantum = cluster.host_mut(primary).costs.repl_wire(64 * 1024).max(1);
 
         let mut built = Vec::with_capacity(n);
-        for (i, mut ls) in lanes.into_iter().enumerate() {
-            let container = ContainerRuntime::create(cluster.host_mut(primary), &ls.spec)?;
-            cluster.bind_addr(ls.spec.addr, primary, container.ns.net);
-
-            // Workload init (clear the meters so epoch 1 starts clean).
-            {
-                let k = cluster.host_mut(primary);
-                let mut ctx = GuestCtx::new(k, container.workers[0], 0);
-                ls.app.init(&mut ctx)?;
-                k.meter.take();
-                k.fault_meter.take();
-            }
-
-            // Per-lane client netns on the shared client host.
-            let pool = match (&ls.behavior, ls.spec.listen_port) {
-                (Some(b), Some(port)) => {
-                    let ns = cluster
-                        .host_mut(client_host)
-                        .namespaces
-                        .create_set(&format!("client{i}"))
-                        .net;
-                    let addr = CLIENT_BASE + i as u32;
-                    cluster
-                        .host_mut(client_host)
-                        .create_stack(ns, addr, InputMode::Buffer);
-                    cluster.bind_addr(addr, client_host, ns);
-                    Some(ClientPool::connect(
-                        &mut cluster,
-                        client_host,
-                        ns,
-                        b.client_count(),
-                        Endpoint::new(ls.spec.addr, port),
-                    )?)
-                }
-                _ => None,
-            };
-
-            let mut engine =
-                NiLiConEngine::new(cfg.opts, cluster.host_mut(primary).costs.clone());
-            engine.prepare(cluster.host_mut(primary), &container)?;
+        for (i, ls) in lanes.into_iter().enumerate() {
+            let lane = Lane::new(
+                &mut cluster,
+                primary,
+                client_host,
+                i as u32,
+                &ls.spec,
+                ls.app,
+                ls.behavior,
+                cfg.epoch_exec,
+            )?;
+            let mut engine = NiLiConEngine::new(cfg.opts, cluster.host_mut(primary).costs.clone());
+            engine.prepare(cluster.host_mut(primary), &lane.container)?;
 
             let offset = if aligned {
                 0
             } else {
                 (i as Nanos) * cfg.epoch_exec / n as Nanos
             };
-            built.push(Lane {
-                container,
-                app: ls.app,
-                behavior: ls.behavior,
-                pool,
+            built.push(FleetLane {
+                lane,
                 engine: Some(engine),
-                tracer: Tracer::disabled(),
                 offset,
                 next_boundary: offset + cfg.epoch_exec,
                 epochs_done: 0,
                 target: 0,
-                pending: VecDeque::new(),
-                receipts: HashMap::new(),
-                metrics: RunMetrics::default(),
-                jitter_state: 0x243F6A8885A308D3 ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                cpu_debt: 0,
-                last_stop: 0,
                 own_dump_until: 0,
-                sender: HeartbeatSender::new(),
                 detector: FailureDetector::new(interval, misses, offset),
                 holder: Lease::new(lease_term, 0),
                 grant: Lease::new(lease_term, 0),
@@ -439,7 +376,6 @@ impl FleetScheduler {
                 alive: true,
                 fault_at: None,
                 script: Vec::new(),
-                held: Vec::new(),
                 staged: None,
                 failover_report: None,
                 detection_latency: None,
@@ -491,7 +427,7 @@ impl FleetScheduler {
             e.set_tracer(tracer.clone());
         }
         l.detector.set_tracer(tracer.clone());
-        l.tracer = tracer;
+        l.lane.tracer = tracer;
     }
 
     /// Drive lane `lane` with a scripted per-epoch guest-write history
@@ -561,32 +497,19 @@ impl FleetScheduler {
     pub fn finish(mut self) -> FleetResult {
         let n = self.lanes.len() as u32;
         let mut results = Vec::with_capacity(self.lanes.len());
-        for lane in &mut self.lanes {
-            let _ = lane.tracer.flush();
-            let (broken, broken_err) = match lane.pool.as_ref() {
-                Some(p) => match p.broken_connections(&mut self.cluster) {
-                    Ok(b) => (b, None),
-                    Err(e) => (u64::MAX, Some(format!("broken_connections: {e}"))),
-                },
-                None => (0, None),
-            };
-            let verify = match broken_err {
-                Some(e) => Err(e),
-                None => match &lane.behavior {
-                    Some(b) => b.verify(),
-                    None => Ok(()),
-                },
-            };
+        for fl in &mut self.lanes {
+            let _ = fl.lane.tracer.flush();
+            let (broken, verify) = fl.lane.finish_checks(&mut self.cluster);
             results.push(LaneResult {
-                metrics: std::mem::take(&mut lane.metrics),
-                failovers: lane.failovers,
-                failover: lane.failover_report.take(),
-                detection_latency: lane.detection_latency,
-                on_backup: lane.owner == Owner::Backup,
+                metrics: std::mem::take(&mut fl.lane.metrics),
+                failovers: fl.failovers,
+                failover: fl.failover_report.take(),
+                detection_latency: fl.detection_latency,
+                on_backup: fl.owner == Owner::Backup,
                 broken_connections: broken,
                 verify,
-                split_brain: lane.split_brain,
-                unrecovered: lane.unrecovered,
+                split_brain: fl.split_brain,
+                unrecovered: fl.unrecovered,
             });
         }
         let min_live_bits = self
@@ -642,9 +565,9 @@ impl FleetScheduler {
                     if !self.primary_faulted {
                         // Per-container fail-stop: only this lane's address
                         // goes dark (blackhole is permanently partitioned).
-                        let ns = lane.container.ns.net;
+                        let c = &lane.lane.container;
                         self.cluster
-                            .bind_addr(lane.container.spec.addr, self.blackhole, ns);
+                            .bind_addr(c.spec.addr, self.blackhole, c.ns.net);
                     }
                 }
             }
@@ -696,179 +619,79 @@ impl FleetScheduler {
         Ok(())
     }
 
+    /// The host currently executing lane `li`.
+    fn host_of(&self, li: usize) -> HostId {
+        match self.lanes[li].owner {
+            Owner::Primary => self.primary,
+            Owner::Backup => self.backup,
+        }
+    }
+
     /// Execute one epoch of lane `li` ending at boundary `t` on its owner
     /// host; for replicated lanes, run the stop phase (queued on the serial
     /// dump service) and return the epoch's transfer job for the shared
     /// link. Unreplicated lanes complete entirely here.
     fn lane_exec(&mut self, li: usize, t: Nanos) -> SimResult<Option<LinkJob>> {
         let epoch_exec = self.cfg.epoch_exec;
-        let exec_start = t - epoch_exec;
-        let host = match self.lanes[li].owner {
-            Owner::Primary => self.primary,
-            Owner::Backup => self.backup,
-        };
-        let seq = self.lanes[li].epochs_done + 1;
-        let replicated = self.lanes[li].engine.is_some();
-
-        self.lanes[li].tracer.begin_epoch(seq, exec_start);
-        {
-            let lane = &self.lanes[li];
-            lane.tracer.mark(TraceEvent::FleetEpochStart {
-                lane: li as u32,
-                offset: lane.offset,
-            });
-        }
-
-        // Clients: issue, pump, harvest complete frames with jittered
-        // arrivals (the harness's client_turnaround, per lane).
-        {
-            let lane = &mut self.lanes[li];
-            if let (Some(pool), Some(behavior)) = (lane.pool.as_mut(), lane.behavior.as_mut()) {
-                pool.issue(&mut self.cluster, behavior.as_mut(), exec_start, epoch_exec)?;
-                self.cluster.pump();
-                let ns = lane.container.ns.net;
-                let k = self.cluster.host_mut(host);
-                let cl_lat = k.costs.client_link_latency;
-                for (sid, remote) in k.stack(ns)?.established_ids() {
-                    let buf = k.stack(ns)?.peek_recv(sid)?;
-                    let mut off = 0;
-                    while let Some((frame, used)) = try_decode_frame(&buf[off..]) {
-                        off += used;
-                        let arrival =
-                            exec_start + jitter(&mut lane.jitter_state, epoch_exec) + 2 * cl_lat;
-                        lane.pending.push_back((remote, frame, arrival));
-                    }
-                    if off > 0 {
-                        k.stack_mut(ns)?.consume_recv(sid, off)?;
-                    }
-                }
-                lane.pending
-                    .make_contiguous()
-                    .sort_by_key(|(_, _, arrival)| *arrival);
-            }
-        }
-
+        let host = self.host_of(li);
+        let cut = self.replication_cut();
+        let fl = &mut self.lanes[li];
+        let seq = fl.epochs_done + 1;
+        fl.lane.tracer.begin_epoch(seq, t - epoch_exec);
+        fl.lane.tracer.mark(TraceEvent::FleetEpochStart {
+            lane: li as u32,
+            offset: fl.offset,
+        });
         // Scripted writes (the equivalence seam): epoch `seq` applies
         // `script[seq-1]` exactly like a plain engine-loop history.
-        {
-            let lane = &mut self.lanes[li];
-            if let Some(writes) = lane.script.get((seq - 1) as usize).cloned() {
-                let k = self.cluster.host_mut(host);
-                for (page, val) in writes {
-                    k.mem_write(lane.container.init_pid(), MemLayout::heap_page(page), &[val])?;
-                }
+        if let Some(writes) = fl.script.get((seq - 1) as usize) {
+            let k = self.cluster.host_mut(host);
+            for &(page, val) in writes {
+                k.mem_write(
+                    fl.lane.container.init_pid(),
+                    MemLayout::heap_page(page),
+                    &[val],
+                )?;
             }
         }
-
-        // Serve requests that arrived inside this epoch.
-        let budget = epoch_exec;
-        let mut used: Nanos = KEEPALIVE_COST + self.lanes[li].cpu_debt;
-        let mut requests = 0u64;
-        let mut completions: Vec<(Endpoint, Nanos)> = Vec::new();
-        loop {
-            let lane = &mut self.lanes[li];
-            let Some((remote, req, arrival)) = lane.pending.front().cloned() else {
-                break;
-            };
-            if arrival > t || used >= budget {
-                break;
-            }
-            lane.pending.pop_front();
-            let pid = lane.container.workers[0];
-            let k = self.cluster.host_mut(host);
-            let out = {
-                let mut ctx = GuestCtx::new(k, pid, exec_start + used);
-                lane.app.handle_request(&mut ctx, &req)?
-            };
-            let cost = k.meter.take();
-            used += cost.max(100);
-            // Duty-cycle stretch: a request takes C·(E+stop)/E of wall time
-            // under replication (the container freezes every epoch).
-            let wall = used * (epoch_exec + lane.last_stop) / epoch_exec;
-            let t_done = arrival.max(exec_start) + wall;
-            // Response goes out via the (plugged, if replicated) stack.
-            let ns = lane.container.ns.net;
-            let sid = k
-                .stack(ns)?
-                .established_ids()
-                .into_iter()
-                .find(|(_, r)| *r == remote)
-                .map(|(sid, _)| sid)
-                .ok_or_else(|| SimError::Invalid(format!("fleet: no connection to {remote}")))?;
-            k.stack_mut(ns)?.send(sid, &encode_frame(&out.response))?;
-            completions.push((remote, t_done));
-            requests += 1;
-        }
-
-        let (exec_cpu, tracking) = {
-            let lane = &mut self.lanes[li];
-            lane.cpu_debt = used.saturating_sub(budget);
-            let consumed = used.min(budget);
-            let k = self.cluster.host_mut(host);
-            let tracking = k.fault_meter.take();
-            k.cgroups.charge_cpu(lane.container.cgroup, consumed);
-            (consumed, tracking)
-        };
-        let now = self.cluster.clock.now().max(t);
-        self.cluster.clock.advance_to(now);
-        self.lanes[li]
-            .tracer
-            .span(TraceEvent::Exec { requests, steps: 0 }, epoch_exec);
+        let exec = fl
+            .lane
+            .execute(&mut self.cluster, host, t - epoch_exec, t, epoch_exec, None)?;
 
         // Consolidated heartbeat: one channel, one liveness bit per lane.
-        let cut = self.replication_cut();
-        {
-            let lane = &mut self.lanes[li];
-            let cpuacct = self
-                .cluster
-                .host_mut(host)
-                .cgroups
-                .cpuacct_usage(lane.container.cgroup);
-            let beat = lane.sender.tick(cpuacct);
-            let delivered = beat && lane.owner == Owner::Primary && replicated && !cut;
-            let interval_idx = t / self.cfg.heartbeat_interval.max(1);
-            if delivered {
-                *self.beat_bitmap.entry(interval_idx).or_insert(0) |= 1u64 << (li % 64);
-                lane.detector.on_beat(t);
-            } else {
-                self.beat_bitmap.entry(interval_idx).or_insert(0);
-            }
+        let beat = fl.lane.beat(&mut self.cluster, host);
+        let bits = self
+            .beat_bitmap
+            .entry(t / self.cfg.heartbeat_interval.max(1))
+            .or_insert(0);
+        if beat && fl.owner == Owner::Primary && fl.engine.is_some() && !cut {
+            *bits |= 1u64 << (li % 64);
+            fl.detector.on_beat(t);
         }
 
-        if !replicated {
+        let Some(engine) = fl.engine.as_mut() else {
             // Post-failover lane: unreplicated, output released immediately.
-            return self.lane_release(li, t, seq, completions, exec_cpu, tracking, requests);
-        }
+            fl.lane.metrics.push(exec.record(seq));
+            fl.lane
+                .release(&mut self.cluster, host, t, exec.completions, true, false)?;
+            fl.epochs_done += 1;
+            fl.next_boundary += epoch_exec;
+            return Ok(None);
+        };
         if cut {
             // Partitioned: the checkpoint cannot reach the backup, the ack
             // never comes, and this epoch's output stays plugged. The lease
             // is not renewed; keep executing until the fence decides.
-            let lane = &mut self.lanes[li];
-            lane.held.extend(completions);
-            lane.epochs_done += 1;
-            lane.next_boundary += epoch_exec;
-            lane.metrics.push(EpochRecord {
-                epoch: seq,
-                stop_time: 0,
-                dirty_pages: 0,
-                state_bytes: 0,
-                ack_delay: 0,
-                exec_cpu,
-                tracking_overhead: tracking,
-                backup_cpu: 0,
-                requests_done: requests,
-                steps_done: 0,
-            });
+            fl.lane.metrics.push(exec.record(seq));
+            fl.lane.held.extend(exec.completions);
+            fl.epochs_done += 1;
+            fl.next_boundary += epoch_exec;
             // The backup cannot tell a dead primary from a partition: once
             // detection fires and the grant fence lapses it promotes. The
             // primary's holder lease expired strictly earlier, so the (still
             // alive) primary instance is fenced — its held output is
             // discarded at promotion, never released.
-            let promotable = {
-                let lane = &mut self.lanes[li];
-                lane.engine.is_some() && lane.detector.check(t) && t >= lane.grant.expires_at()
-            };
-            if promotable {
+            if fl.detector.check(t) && t >= fl.grant.expires_at() {
                 self.promote_lane(li, t)?;
             }
             return Ok(None);
@@ -879,35 +702,31 @@ impl FleetScheduler {
         // draining past later boundaries) is pre-copy-style overlap, not
         // queueing — only time spent behind other lanes counts.
         let dump_start = t.max(self.svc_busy_until);
-        let queue_wait = dump_start.saturating_sub(t.max(self.lanes[li].own_dump_until));
+        let queue_wait = dump_start.saturating_sub(t.max(fl.own_dump_until));
         if queue_wait > 0 {
-            self.lanes[li]
-                .tracer
-                .span(TraceEvent::Backpressure { stalled: queue_wait }, queue_wait);
+            fl.lane.tracer.span(
+                TraceEvent::Backpressure {
+                    stalled: queue_wait,
+                },
+                queue_wait,
+            );
             self.queue_waits_log.push(queue_wait);
         }
-        let outcome = {
-            let lane = &mut self.lanes[li];
-            let engine = lane.engine.as_mut().expect("replicated lane");
-            engine.pipeline_advance(epoch_exec);
-            let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-            engine.checkpoint(pk, bk, &lane.container, seq)?
-        };
+        engine.pipeline_advance(epoch_exec);
+        let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
+        let outcome = engine.checkpoint(pk, bk, &fl.lane.container, seq)?;
         let stop_eff = queue_wait + outcome.stop_time;
         let dump_end = dump_start + outcome.stop_time;
         self.svc_busy_until = dump_end;
-        self.lanes[li].own_dump_until = dump_end;
-        self.lanes[li].staged = Some(StagedEpoch {
+        fl.own_dump_until = dump_end;
+        fl.staged = Some(StagedEpoch {
             seq,
             stop_eff,
             ack_delay: outcome.ack_delay,
             state_bytes: outcome.state_bytes,
             dirty_pages: outcome.dirty_pages,
             backup_cpu: outcome.backup_cpu,
-            exec_cpu,
-            tracking,
-            requests,
-            completions,
+            exec,
         });
         Ok(Some(LinkJob {
             lane: li,
@@ -917,12 +736,14 @@ impl FleetScheduler {
     }
 
     /// Commit tail of a replicated epoch, after the shared link scheduled
-    /// its transfer: reconcile, release output at the acked time, commit on
-    /// the backup, renew both leases.
+    /// its transfer: reconcile, commit on the backup, renew both leases,
+    /// and release output at the acked time.
     fn lane_commit(&mut self, li: usize, t: Nanos, fair_wait: Nanos, completion: Nanos) -> SimResult<()> {
-        let staged = self.lanes[li].staged.take().expect("staged epoch");
+        let host = self.host_of(li);
+        let fl = &mut self.lanes[li];
+        let staged = fl.staged.take().expect("staged epoch");
         if fair_wait > 0 {
-            self.lanes[li].tracer.span(
+            fl.lane.tracer.span(
                 TraceEvent::FairShareWait {
                     lane: li as u32,
                     waited: fair_wait,
@@ -931,216 +752,63 @@ impl FleetScheduler {
             );
             self.fair_waits_log.push(fair_wait);
         }
-        self.lanes[li]
+        let ack_delay = staged.ack_delay + fair_wait;
+        fl.lane
             .tracer
-            .reconcile(staged.seq, staged.stop_eff, staged.ack_delay + fair_wait)
+            .reconcile(staged.seq, staged.stop_eff, ack_delay)
             .map_err(SimError::Invalid)?;
 
         // The ack lands at `completion`; commit on the backup and release
         // this epoch's plugged output.
-        {
-            let lane = &mut self.lanes[li];
-            let engine = lane.engine.as_mut().expect("replicated lane");
-            let bk = &mut *self.cluster.host_mut(self.backup);
-            engine.commit(bk, staged.seq)?;
-            lane.holder.grant(t);
-            lane.grant.grant(completion);
-        }
-        let ack_total = staged.ack_delay + fair_wait;
-        let release = t + staged.stop_eff + ack_total;
-        self.lanes[li].metrics.push(EpochRecord {
-            epoch: staged.seq,
+        let engine = fl.engine.as_mut().expect("replicated lane");
+        let commit_cpu = engine.commit(self.cluster.host_mut(self.backup), staged.seq)?;
+        fl.holder.grant(t);
+        fl.grant.grant(completion);
+        fl.lane.metrics.push(EpochRecord {
             stop_time: staged.stop_eff,
             dirty_pages: staged.dirty_pages,
             state_bytes: staged.state_bytes,
-            ack_delay: ack_total,
-            exec_cpu: staged.exec_cpu,
-            tracking_overhead: staged.tracking,
-            backup_cpu: staged.backup_cpu,
-            requests_done: staged.requests,
-            steps_done: 0,
+            ack_delay,
+            backup_cpu: staged.backup_cpu + commit_cpu,
+            ..staged.exec.record(staged.seq)
         });
-        let lane = &mut self.lanes[li];
-        lane.last_stop = staged.stop_eff;
-        self.release_output(li, release, staged.completions)?;
-        let lane = &mut self.lanes[li];
-        lane.epochs_done += 1;
-        lane.next_boundary += self.cfg.epoch_exec;
+        fl.lane.last_stop = staged.stop_eff;
+        let release = t + staged.stop_eff + ack_delay;
+        fl.lane.release(
+            &mut self.cluster,
+            host,
+            release,
+            staged.exec.completions,
+            true,
+            false,
+        )?;
+        fl.epochs_done += 1;
+        fl.next_boundary += self.cfg.epoch_exec;
         Ok(())
     }
 
-    /// Unreplicated epoch tail (post-failover): release immediately.
-    #[allow(clippy::too_many_arguments)]
-    fn lane_release(
-        &mut self,
-        li: usize,
-        t: Nanos,
-        seq: u64,
-        completions: Vec<(Endpoint, Nanos)>,
-        exec_cpu: Nanos,
-        tracking: Nanos,
-        requests: u64,
-    ) -> SimResult<Option<LinkJob>> {
-        self.lanes[li].metrics.push(EpochRecord {
-            epoch: seq,
-            stop_time: 0,
-            dirty_pages: 0,
-            state_bytes: 0,
-            ack_delay: 0,
-            exec_cpu,
-            tracking_overhead: tracking,
-            backup_cpu: 0,
-            requests_done: requests,
-            steps_done: 0,
-        });
-        self.release_output(li, t, completions)?;
-        let lane = &mut self.lanes[li];
-        lane.epochs_done += 1;
-        lane.next_boundary += self.cfg.epoch_exec;
-        Ok(None)
-    }
-
-    /// Release the lane's plugged output at logical time `release`, stamp
-    /// receipts, pump the wire, and deliver responses to the clients.
-    fn release_output(
-        &mut self,
-        li: usize,
-        release: Nanos,
-        completions: Vec<(Endpoint, Nanos)>,
-    ) -> SimResult<()> {
-        let host = match self.lanes[li].owner {
-            Owner::Primary => self.primary,
-            Owner::Backup => self.backup,
-        };
-        let cl_lat = self.cluster.host_mut(host).costs.client_link_latency;
-        {
-            let lane = &mut self.lanes[li];
-            let ns = lane.container.ns.net;
-            let released = self.cluster.host_mut(host).stack_mut(ns)?.release_output();
-            if released > 0 {
-                lane.tracer.event_at(
-                    TraceEvent::OutputRelease {
-                        packets: released as u64,
-                    },
-                    release,
-                );
-            }
-            for (remote, t_done) in completions {
-                let receipt = t_done.max(release) + cl_lat;
-                lane.receipts.entry(remote).or_default().push_back(receipt);
-                lane.metrics
-                    .release_waits
-                    .push(release.saturating_sub(t_done));
-            }
-        }
-        self.cluster.pump();
-        let lane = &mut self.lanes[li];
-        if let (Some(pool), Some(behavior)) = (lane.pool.as_mut(), lane.behavior.as_mut()) {
-            let lats = pool.collect(
-                &mut self.cluster,
-                behavior.as_mut(),
-                &mut lane.receipts,
-                release,
-                &lane.tracer,
-            )?;
-            lane.metrics.response_latencies.extend(lats);
-        }
-        Ok(())
-    }
-
-    /// Promote lane `li`'s ownership to the backup at time `t`: restore
-    /// from the lane's own backup agent, move the address, discard
-    /// uncommitted output, retransmit both sides. Every other lane is
-    /// untouched.
+    /// Promote lane `li`'s ownership to the backup at time `t` (see
+    /// [`Lane::promote`]). Every other lane is untouched.
     fn promote_lane(&mut self, li: usize, t: Nanos) -> SimResult<()> {
-        let fault = self.lanes[li].fault_at.unwrap_or(t);
+        let fl = &mut self.lanes[li];
         // Exactly-one-owner fence: the primary's output lease must have
         // lapsed before the backup takes over.
-        if self.lanes[li].holder.valid_at(t) {
-            self.lanes[li].split_brain = true;
-        }
-        let detected = self.lanes[li].detector.detected_at();
-        let latency = detected.map(|d| d.saturating_sub(fault));
-
-        let mut engine = self.lanes[li].engine.take().expect("promotable lane");
-        let (restored, report) = engine.failover(self.cluster.host_mut(self.backup))?;
+        fl.split_brain |= fl.holder.valid_at(t);
+        let detected = fl.detector.detected_at().expect("promoted on detection");
+        let latency = detected.saturating_sub(fl.fault_at.unwrap_or(t));
+        let mut engine = fl.engine.take().expect("promotable lane");
         let now = self.cluster.clock.now().max(t);
-        self.cluster.clock.advance_to(now + report.total());
-
-        // Gratuitous ARP: the lane's address moves to the backup.
-        self.cluster.bind_addr(
-            restored.container.spec.addr,
-            self.backup,
-            restored.container.ns.net,
-        );
-        restored.finish(self.cluster.host_mut(self.backup))?;
-
-        // Rebuild the app's working state from restored guest memory.
-        {
-            let now = self.cluster.clock.now();
-            let k = self.cluster.host_mut(self.backup);
-            let mut ctx = GuestCtx::new(k, restored.container.workers[0], now);
-            self.lanes[li].app.recover(&mut ctx)?;
-            k.meter.take();
-            k.fault_meter.take();
-        }
-
-        {
-            let lane = &mut self.lanes[li];
-            let discarded = (lane.pending.len() + lane.held.len()) as u64;
-            let now = self.cluster.clock.now();
-            lane.tracer
-                .event_at(TraceEvent::OutputDiscard { packets: discarded }, now);
-            lane.pending.clear();
-            lane.held.clear();
-            if let Some(lat) = latency {
-                lane.tracer.event_at(
-                    TraceEvent::Failover {
-                        detection_latency: lat,
-                        restore: report.restore,
-                        arp: report.arp,
-                        tcp: report.tcp,
-                        others: report.others,
-                    },
-                    now,
-                );
-            }
-            lane.container = restored.container;
-            lane.owner = Owner::Backup;
-            lane.alive = true;
-            lane.failovers += 1;
-            lane.failover_report = Some(report);
-            lane.detection_latency = latency;
-            lane.sender = HeartbeatSender::new();
-            lane.cpu_debt = 0;
-            lane.last_stop = 0;
-        }
-
-        // Retransmissions: restored server sockets re-send unacked
-        // responses (§V-E); clients re-send their unacked request backlog
-        // (multi-segment since the RTO fix).
-        let ns = self.lanes[li].container.ns.net;
-        self.cluster
-            .host_mut(self.backup)
-            .stack_mut(ns)?
-            .retransmit_all();
-        let lane = &mut self.lanes[li];
-        if let Some(pool) = lane.pool.as_mut() {
-            pool.retransmit(&mut self.cluster)?;
-        }
-        self.cluster.pump();
-        let now = self.cluster.clock.now();
-        let lane = &mut self.lanes[li];
-        if let (Some(pool), Some(behavior)) = (lane.pool.as_mut(), lane.behavior.as_mut()) {
-            let lats = pool.collect(
-                &mut self.cluster,
-                behavior.as_mut(),
-                &mut lane.receipts,
-                now,
-                &lane.tracer,
-            )?;
-            lane.metrics.response_latencies.extend(lats);
-        }
+        self.cluster.clock.advance_to(now);
+        let report = fl
+            .lane
+            .promote(&mut self.cluster, &mut engine, self.backup, latency, 0)?;
+        fl.owner = Owner::Backup;
+        fl.alive = true;
+        fl.failovers += 1;
+        fl.failover_report = Some(report);
+        fl.detection_latency = Some(latency);
+        fl.lane.cpu_debt = 0;
+        fl.lane.last_stop = 0;
         Ok(())
     }
 }

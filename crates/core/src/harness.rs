@@ -15,32 +15,35 @@
 //! and are released when the backup acknowledges that epoch's state; client
 //! response latencies are computed against the *release* time (§II-A), which
 //! is what produces the Table VI latency inflation.
+//!
+//! ## What lives here
+//!
+//! The per-container half of the epoch body — the execution window, the
+//! output release, the promotion onto the backup and the end-of-run client
+//! checks — is the crate-private `Lane` (`lane.rs`), shared with the
+//! [`FleetScheduler`](crate::fleet::FleetScheduler). The harness drives one
+//! lane through one `step(cut)` per epoch (a cut is a primary fault inside
+//! the epoch under hybrid replay) and keeps the single-pair half: the
+//! engine's stop phase and commit, fault injection and detection, the
+//! chaos leases and fencing, and the re-arm and coded-repair lifecycles.
 
 use crate::config::ReplicationConfig;
-use crate::detector::{FailureDetector, HeartbeatSender, Lease};
+use crate::detector::{FailureDetector, Lease};
 use crate::engine::{Checkpointer, FailoverReport};
+use crate::lane::{Completion, Lane, LogSink};
 use crate::metrics::{EpochRecord, RunMetrics};
-use crate::replay::replay_tail;
 use crate::trace::{TraceEvent, Tracer};
-use nilicon_sim::replay::{content_hash, ReplayEvent};
-use crate::traffic::{ClientBehavior, ClientPool};
-use nilicon_container::{
-    encode_frame, try_decode_frame, Application, Container, ContainerRuntime, ContainerSpec,
-    GuestCtx, MemLayout,
-};
+use crate::traffic::ClientBehavior;
+use nilicon_container::{Application, Container, ContainerSpec, MemLayout};
 use nilicon_sim::cluster::Cluster;
-use nilicon_sim::ids::{Endpoint, HostId, Pid};
+use nilicon_sim::ids::HostId;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::net::{ChaosConfig, ChaosLink, InputMode, LinkDir};
+use nilicon_sim::net::{ChaosConfig, ChaosLink, LinkDir};
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{SimError, SimResult, PAGE_SIZE};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-/// Address of the client host's stack on the bridge.
-pub const CLIENT_ADDR: u32 = 200;
-/// CPU cost of the keep-alive process per 30 ms interval (§IV: ~1000
-/// instructions).
-const KEEPALIVE_COST: Nanos = 300;
+pub use crate::lane::CLIENT_ADDR;
 
 /// How the container runs.
 pub enum RunMode {
@@ -177,17 +180,8 @@ struct ChaosState {
 /// the gap voids it — fault-during-output-release.
 struct PendingRelease {
     release_time: Nanos,
-    /// Completions riding this release: (client endpoint, service-done time).
-    receipts: Vec<(Endpoint, Nanos)>,
-}
-
-/// Deterministic SplitMix64 jitter in `[0, range)`.
-fn jitter(state: &mut u64, range: Nanos) -> Nanos {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    (z ^ (z >> 31)) % range.max(1)
+    /// Completions riding this release.
+    receipts: Vec<Completion>,
 }
 
 /// The harness itself.
@@ -200,19 +194,11 @@ pub struct RunHarness {
     pub backup: HostId,
     /// Client host id.
     pub client_host: HostId,
-    container: Container,
-    app: Box<dyn Application>,
-    behavior: Option<Box<dyn ClientBehavior>>,
-    pool: Option<ClientPool>,
+    /// The container, its workload and clients, and their serving state.
+    lane: Lane,
     cfg: ReplicationConfig,
     mode: RunMode,
     parallelism: f64,
-    metrics: RunMetrics,
-    /// Decoded requests awaiting service: (client endpoint, payload, arrival).
-    pending: VecDeque<(Endpoint, Vec<u8>, Nanos)>,
-    /// Per-connection queue of logical response receipt times.
-    receipts: HashMap<Endpoint, VecDeque<Nanos>>,
-    sender: HeartbeatSender,
     detector: FailureDetector,
     /// Pending primary-host faults, in firing order.
     faults: VecDeque<Nanos>,
@@ -234,27 +220,11 @@ pub struct RunHarness {
     /// The engine while it is not driving epochs (between a failover and
     /// the completion of the re-replication bootstrap).
     parked: Option<Box<dyn Checkpointer>>,
-    /// Completions produced during a bootstrap: their responses sit in the
-    /// plugged qdisc until the first post-re-arm epoch commits (the
-    /// bootstrap image predates them, so output commit must wait for the
-    /// first incremental checkpoint that covers them).
-    held: Vec<(Endpoint, Nanos)>,
     epoch: u64,
-    rr: u64,
-    batch_done: bool,
-    jitter_state: u64,
-    /// CPU consumed beyond the previous epoch's budget (a request larger
-    /// than one epoch's budget keeps the cores busy into the next epoch).
-    cpu_debt: Nanos,
-    /// Previous epoch's stop time — the steady-state duty-cycle stretch for
-    /// service-time accounting (a C-ms request takes C·(E+stop)/E of wall
-    /// time under replication because the container freezes every epoch).
-    last_stop: Nanos,
     /// Chaos extension state (None on every paper path).
     chaos: Option<ChaosState>,
     /// Chaos mode: the release deferred from the previous epoch, if any.
     pending_release: Option<PendingRelease>,
-    tracer: Tracer,
 }
 
 impl std::fmt::Debug for RunHarness {
@@ -276,7 +246,7 @@ impl RunHarness {
     /// CPU budget and Table V's "Active" row).
     pub fn new(
         spec: ContainerSpec,
-        mut app: Box<dyn Application>,
+        app: Box<dyn Application>,
         behavior: Option<Box<dyn ClientBehavior>>,
         mut mode: RunMode,
         cfg: ReplicationConfig,
@@ -286,47 +256,22 @@ impl RunHarness {
         let primary = cluster.add_host(Kernel::default());
         let backup = cluster.add_host(Kernel::default());
         let client_host = cluster.add_host(Kernel::default());
-
-        // Container on the primary.
-        let container = ContainerRuntime::create(cluster.host_mut(primary), &spec)?;
-        cluster.bind_addr(spec.addr, primary, container.ns.net);
-
-        // Client stack.
-        let client_ns = cluster
-            .host_mut(client_host)
-            .namespaces
-            .create_set("client")
-            .net;
-        cluster
-            .host_mut(client_host)
-            .create_stack(client_ns, CLIENT_ADDR, InputMode::Buffer);
-        cluster.bind_addr(CLIENT_ADDR, client_host, client_ns);
-
-        // Workload init.
-        {
-            let k = cluster.host_mut(primary);
-            let mut ctx = GuestCtx::new(k, container.workers[0], 0);
-            app.init(&mut ctx)?;
-            k.meter.take();
-            k.fault_meter.take();
-        }
-
         // Clients connect before the qdisc is plugged (handshakes flow
         // freely during setup).
-        let pool = match (&behavior, spec.listen_port) {
-            (Some(b), Some(port)) => Some(ClientPool::connect(
-                &mut cluster,
-                client_host,
-                client_ns,
-                b.client_count(),
-                Endpoint::new(spec.addr, port),
-            )?),
-            _ => None,
-        };
+        let lane = Lane::new(
+            &mut cluster,
+            primary,
+            client_host,
+            0,
+            &spec,
+            app,
+            behavior,
+            cfg.epoch_exec,
+        )?;
 
         // Engine preparation (arms tracking, plugs the qdisc).
         if let RunMode::Replicated(engine) = &mut mode {
-            engine.prepare(cluster.host_mut(primary), &container)?;
+            engine.prepare(cluster.host_mut(primary), &lane.container)?;
             cluster.host_mut(primary).meter.take();
             if engine.supports_replay() {
                 // Hybrid replay: the primary kernel records nondeterministic
@@ -343,17 +288,10 @@ impl RunHarness {
             primary,
             backup,
             client_host,
-            container,
-            app,
-            behavior,
-            pool,
+            lane,
             cfg,
             mode,
             parallelism,
-            metrics: RunMetrics::default(),
-            pending: VecDeque::new(),
-            receipts: HashMap::new(),
-            sender: HeartbeatSender::new(),
             detector: FailureDetector::new(interval, misses, 0),
             faults: VecDeque::new(),
             backup_faults: VecDeque::new(),
@@ -368,16 +306,9 @@ impl RunHarness {
             rearm: RearmState::Idle,
             repair: RepairState::Idle,
             parked: None,
-            held: Vec::new(),
             epoch: 0,
-            rr: 0,
-            batch_done: false,
-            jitter_state: 0x243F6A8885A308D3,
-            cpu_debt: 0,
-            last_stop: 0,
             chaos: None,
             pending_release: None,
-            tracer: Tracer::disabled(),
         })
     }
 
@@ -445,7 +376,7 @@ impl RunHarness {
     pub fn snapshot_heap(&mut self, pages: u64) -> Vec<u8> {
         let host = self.active_host();
         let mut out = Vec::new();
-        for pid in self.container.workers.clone() {
+        for pid in self.lane.container.workers.clone() {
             for page in 0..pages {
                 let mut buf = vec![0u8; PAGE_SIZE];
                 let _ = self
@@ -466,7 +397,7 @@ impl RunHarness {
             engine.set_tracer(tracer.clone());
         }
         self.detector.set_tracer(tracer.clone());
-        self.tracer = tracer;
+        self.lane.tracer = tracer;
     }
 
     /// Schedule a fail-stop fault of the active host at absolute virtual
@@ -519,12 +450,12 @@ impl RunHarness {
 
     /// Current container handle.
     pub fn container(&self) -> &Container {
-        &self.container
+        &self.lane.container
     }
 
     /// True once the batch workload reported completion.
     pub fn batch_done(&self) -> bool {
-        self.batch_done
+        self.lane.batch_done
     }
 
     /// Completed epochs so far.
@@ -553,78 +484,6 @@ impl RunHarness {
     /// extension's degraded window).
     pub fn repair_active(&self) -> bool {
         !matches!(self.repair, RepairState::Idle)
-    }
-
-    // ------------------------------------------------------------------
-    // Client plumbing
-    // ------------------------------------------------------------------
-
-    /// Issue requests from idle clients, pump the wire, and harvest complete
-    /// frames into `pending` (with jittered arrival times — real clients are
-    /// not phase-locked to the epoch clock).
-    fn client_turnaround(&mut self, base: Nanos) -> SimResult<()> {
-        let jitter_range = self.cfg.epoch_exec;
-        if let (Some(pool), Some(behavior)) = (self.pool.as_mut(), self.behavior.as_mut()) {
-            pool.issue(&mut self.cluster, behavior.as_mut(), base, jitter_range)?;
-        } else {
-            return Ok(());
-        }
-        self.cluster.pump();
-
-        let host = self.active_host();
-        let ns = self.container.ns.net;
-        let k = self.cluster.host_mut(host);
-        let cl_lat = k.costs.client_link_latency;
-        let conns = k.stack(ns)?.established_ids();
-        for (sid, remote) in conns {
-            let buf = k.stack(ns)?.peek_recv(sid)?;
-            let mut offset = 0;
-            while let Some((frame, consumed)) = try_decode_frame(&buf[offset..]) {
-                offset += consumed;
-                let arrival = base + jitter(&mut self.jitter_state, jitter_range) + 2 * cl_lat;
-                self.pending.push_back((remote, frame, arrival));
-            }
-            if offset > 0 {
-                k.stack_mut(ns)?.consume_recv(sid, offset)?;
-            }
-        }
-        self.pending
-            .make_contiguous()
-            .sort_by_key(|(_, _, arrival)| *arrival);
-        Ok(())
-    }
-
-    /// Deliver released responses to clients at their logical receipt times;
-    /// record latencies.
-    fn client_collect(&mut self, fallback_now: Nanos) -> SimResult<()> {
-        if let (Some(pool), Some(behavior)) = (self.pool.as_mut(), self.behavior.as_mut()) {
-            let lats = pool.collect(
-                &mut self.cluster,
-                behavior.as_mut(),
-                &mut self.receipts,
-                fallback_now,
-                &self.tracer,
-            )?;
-            self.metrics.response_latencies.extend(lats);
-        }
-        Ok(())
-    }
-
-    /// Send one response on the connection to `remote` (looked up fresh so
-    /// it works across failovers).
-    fn send_response(&mut self, remote: Endpoint, payload: &[u8]) -> SimResult<()> {
-        let host = self.active_host();
-        let ns = self.container.ns.net;
-        let k = self.cluster.host_mut(host);
-        let sid = k
-            .stack(ns)?
-            .established_ids()
-            .into_iter()
-            .find(|(_, r)| *r == remote)
-            .map(|(sid, _)| sid)
-            .ok_or_else(|| SimError::Invalid(format!("no connection to {remote}")))?;
-        k.stack_mut(ns)?.send(sid, &encode_frame(payload))?;
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -661,15 +520,15 @@ impl RunHarness {
             ch.in_partition = true;
             ch.partition_started_at = Some(now);
             ch.stats.partitions += 1;
-            self.tracer.event_at(TraceEvent::PartitionStart, now);
+            self.lane.tracer.event_at(TraceEvent::PartitionStart, now);
         } else if !part && ch.in_partition {
             ch.in_partition = false;
-            self.tracer.event_at(TraceEvent::PartitionHeal, now);
+            self.lane.tracer.event_at(TraceEvent::PartitionHeal, now);
         }
         if ch.holder_was_valid && !ch.holder.valid_at(now) {
             ch.holder_was_valid = false;
             ch.stats.lease_expiries += 1;
-            self.tracer.event_at(
+            self.lane.tracer.event_at(
                 TraceEvent::LeaseExpire {
                     at: ch.holder.expires_at(),
                 },
@@ -682,7 +541,7 @@ impl RunHarness {
     /// still valid at the logical release time, release and deliver;
     /// otherwise *fence*: the packets stay plugged (they ride the next valid
     /// release, or die with the primary) and only the event is emitted.
-    fn chaos_flush_pending(&mut self, _now: Nanos) -> SimResult<()> {
+    fn chaos_flush_pending(&mut self) -> SimResult<()> {
         let Some(pr) = self.pending_release.take() else {
             return Ok(());
         };
@@ -693,41 +552,25 @@ impl RunHarness {
             .holder
             .valid_at(pr.release_time);
         if !valid {
-            self.tracer.event_at(
+            self.lane.tracer.event_at(
                 TraceEvent::FencedOutput {
                     packets: pr.receipts.len() as u64,
                 },
                 pr.release_time,
             );
             self.chaos.as_mut().expect("chaos").stats.fenced_releases += 1;
-            self.held.extend(pr.receipts);
+            self.lane.held.extend(pr.receipts);
             return Ok(());
         }
-        let ns = self.container.ns.net;
-        let released = self
-            .cluster
-            .host_mut(self.primary)
-            .stack_mut(ns)?
-            .release_output();
-        self.tracer.event_at(
-            TraceEvent::OutputRelease {
-                packets: released as u64,
-            },
+        let held = std::mem::take(&mut self.lane.held);
+        self.lane.release(
+            &mut self.cluster,
+            self.primary,
             pr.release_time,
-        );
-        self.cluster.pump();
-        let cl = self
-            .cluster
-            .host_mut(self.primary)
-            .costs
-            .client_link_latency;
-        let held = std::mem::take(&mut self.held);
-        for (remote, t_done) in held.into_iter().chain(pr.receipts) {
-            let receipt = t_done.max(pr.release_time) + cl;
-            self.receipts.entry(remote).or_default().push_back(receipt);
-        }
-        self.client_collect(pr.release_time)?;
-        Ok(())
+            held.into_iter().chain(pr.receipts),
+            false,
+            true,
+        )
     }
 
     /// Chaos-mode epoch prologue: flush the deferred release, trace schedule
@@ -737,7 +580,7 @@ impl RunHarness {
     /// if a promotion consumed this epoch slot.
     fn chaos_prologue(&mut self) -> SimResult<bool> {
         let now = self.cluster.clock.now();
-        self.chaos_flush_pending(now)?;
+        self.chaos_flush_pending()?;
         self.chaos_edges(now);
         self.chaos_deliver_beats(now);
         if !matches!(self.mode, RunMode::Replicated(_)) {
@@ -752,7 +595,7 @@ impl RunHarness {
             if late_beat > det {
                 // A beat arrived after the suspicion began: false positive.
                 // The lease gate bought the time to notice — rescind.
-                self.tracer.event_at(
+                self.lane.tracer.event_at(
                     TraceEvent::FalseSuspicion {
                         suspected_for: late_beat - det,
                     },
@@ -790,11 +633,7 @@ impl RunHarness {
         // The fenced primary withdraws (fail-stop its traffic); whatever it
         // still held plugged is discarded exactly as at a real fault.
         self.cluster.partition(self.primary);
-        let voided: Vec<(Endpoint, Nanos)> = self
-            .pending_release
-            .take()
-            .map(|p| p.receipts)
-            .unwrap_or_default();
+        let voided = self.pending_release.take().map_or(0, |p| p.receipts.len());
         // "Detection latency" for a partition is measured from its start.
         let since = self
             .chaos
@@ -815,7 +654,7 @@ impl RunHarness {
     /// the service dies to an unprotected fault).
     pub fn run_epochs(&mut self, n: u64) -> SimResult<()> {
         for _ in 0..n {
-            if self.batch_done || self.dead {
+            if self.lane.batch_done || self.dead {
                 break;
             }
             let now = self.cluster.clock.now();
@@ -832,7 +671,7 @@ impl RunHarness {
                     (None, None) => None,
                 };
                 if next_fault.is_none_or(|f| release_time <= f) {
-                    self.chaos_flush_pending(now)?;
+                    self.chaos_flush_pending()?;
                 }
             }
             let horizon = now + self.cfg.epoch_exec;
@@ -850,7 +689,7 @@ impl RunHarness {
                     // recoverable via the log, so serve the partial epoch
                     // before failing over instead of rounding down to the
                     // previous checkpoint.
-                    self.run_truncated_epoch(t.max(now))?;
+                    self.step(Some(t.max(now)))?;
                     continue;
                 }
                 self.handle_primary_fault(t.max(now))?;
@@ -858,9 +697,9 @@ impl RunHarness {
             }
             self.rearm_tick()?;
             self.repair_tick()?;
-            self.run_one_epoch()?;
+            self.step(None)?;
         }
-        self.metrics.elapsed = self.cluster.clock.now();
+        self.lane.metrics.elapsed = self.cluster.clock.now();
         Ok(())
     }
 
@@ -868,7 +707,7 @@ impl RunHarness {
     /// `max_epochs`). Errors if the bound is hit first.
     pub fn run_batch_to_completion(&mut self, max_epochs: u64) -> SimResult<()> {
         let mut left = max_epochs;
-        while !self.batch_done {
+        while !self.lane.batch_done {
             if left == 0 {
                 return Err(SimError::Invalid(
                     "batch did not complete within bound".into(),
@@ -878,219 +717,97 @@ impl RunHarness {
             self.run_epochs(chunk)?;
             left -= chunk;
         }
-        self.metrics.elapsed = self.cluster.clock.now();
+        self.lane.metrics.elapsed = self.cluster.clock.now();
         Ok(())
     }
 
-    fn run_one_epoch(&mut self) -> SimResult<()> {
-        if self.chaos.is_some() && self.chaos_prologue()? {
+    /// One epoch of Fig. 1: execute, stop, transfer, ack, release.
+    ///
+    /// With `cut`, a primary fault lands inside the coming epoch (hybrid
+    /// replay only). The primary executes right up to the fault instant,
+    /// shipping log chunks as it goes; the epoch's checkpoint never runs. If
+    /// every chunk committed, the truncated log seals and failover replay
+    /// recovers the partial epoch byte-identically; a chunk lost to a cut
+    /// link leaves the log unsealed, nothing from the epoch is released, and
+    /// recovery falls back to the last checkpoint (clients retransmit).
+    fn step(&mut self, cut: Option<Nanos>) -> SimResult<()> {
+        if cut.is_none() && self.chaos.is_some() && self.chaos_prologue()? {
             // A lease-expiry promotion consumed this epoch slot.
             return Ok(());
         }
         let exec_start = self.cluster.clock.now();
         let host = self.active_host();
-        self.tracer.begin_epoch(self.epoch, exec_start);
-
-        // --- Client requests arrive -------------------------------------
-        self.client_turnaround(exec_start)?;
+        let epoch = self.epoch;
+        self.lane.tracer.begin_epoch(epoch, exec_start);
 
         // --- Execution phase --------------------------------------------
-        let budget = (self.cfg.epoch_exec as f64 * self.parallelism) as Nanos;
-        let epoch_end = exec_start + self.cfg.epoch_exec;
-        let mut used: Nanos = KEEPALIVE_COST + self.cpu_debt;
-        let mut requests_done = 0u64;
-        let mut steps_done = 0u64;
-        let mut completions: Vec<(Endpoint, Nanos)> = Vec::new();
-        // Hybrid-replay accounting: per-epoch log traffic, shipped as the
-        // execution phase produces it (HyCoR-style continuous streaming).
+        // Within the window the container can spend `parallelism` cores.
+        let epoch_end = cut.unwrap_or(exec_start + self.cfg.epoch_exec);
+        let budget = ((epoch_end - exec_start) as f64 * self.parallelism) as Nanos;
         let replay_on = self.replay_on();
-        let cl_lat = self.cluster.host_mut(host).costs.client_link_latency;
-        let mut log_events = 0u64;
-        let mut log_bytes = 0u64;
-        let mut log_time: Nanos = 0;
-        let mut log_commit_max: Nanos = 0;
-        let mut log_backup_cpu: Nanos = 0;
-        let mut step_events: Vec<ReplayEvent> = Vec::new();
+        let log = match &mut self.mode {
+            RunMode::Replicated(engine) if replay_on => Some(LogSink {
+                engine: engine.as_mut(),
+                epoch,
+                schedule: self.chaos.as_ref().map(|ch| &ch.cfg.schedule),
+            }),
+            _ => None,
+        };
+        let mut out =
+            self.lane
+                .execute(&mut self.cluster, host, exec_start, epoch_end, budget, log)?;
+        let cl = self.cluster.host_mut(host).costs.client_link_latency;
 
-        {
-            let k = self.cluster.host_mut(host);
-            k.meter.take();
-            k.fault_meter.take();
-        }
-
-        if self.app.is_server() {
-            while used < budget {
-                let Some(pos) = self
-                    .pending
-                    .iter()
-                    .position(|(_, _, arrival)| *arrival <= epoch_end)
-                else {
-                    break;
+        if let Some(fault_time) = cut {
+            // Work interrupted by the fault dies with the primary.
+            self.lane.cpu_debt = 0;
+            out.log.trace(&self.lane.tracer);
+            // All or nothing: if every chunk committed, seal the truncated
+            // log so failover replay covers this partial epoch, and deliver
+            // the outputs granted release at log commit. If one was blocked
+            // the log stays unsealed and nothing is released — a blocked
+            // response escaping would expose state the fallback image does
+            // not contain; clients retransmit instead.
+            if !out.log.blocked {
+                let RunMode::Replicated(engine) = &mut self.mode else {
+                    unreachable!()
                 };
-                let (remote, req, arrival) = self.pending.remove(pos).expect("pos valid");
-                let pid = self.pick_worker();
-                let response = {
-                    let k = self.cluster.host_mut(host);
-                    let mut ctx = GuestCtx::new(k, pid, exec_start + used);
-                    self.app.handle_request(&mut ctx, &req)?
-                };
-                let cost = self.cluster.host_mut(host).meter.take();
-                used += cost.max(100);
-                // Wall time to completion: queueing + service, stretched by
-                // the epoch duty cycle (the container is frozen for
-                // `last_stop` out of every `epoch_exec + last_stop`).
-                let stretch_num = self.cfg.epoch_exec + self.last_stop;
-                let wall_used = used.saturating_mul(stretch_num) / self.cfg.epoch_exec;
-                let t_done = arrival.max(exec_start) + wall_used;
-                self.send_response(remote, &response.response)?;
-                requests_done += 1;
-                if replay_on {
-                    // Ship this completion's log chunk immediately; once the
-                    // backup acks the chunk the response is externalizable —
-                    // it does not wait for the epoch checkpoint.
-                    let t_chunk = exec_start + used;
-                    let blocked = self
-                        .chaos
-                        .as_ref()
-                        .is_some_and(|ch| ch.cfg.schedule.blocked(t_chunk, LinkDir::AtoB));
-                    if blocked {
-                        // The log link is cut: the chunk cannot commit, so
-                        // this completion falls back to the epoch-ack path.
-                        completions.push((remote, t_done));
-                    } else {
-                        let ev = ReplayEvent::Request {
-                            pid,
-                            at: arrival,
-                            payload: req,
-                            response_hash: content_hash(&response.response),
-                            response_len: response.response.len() as u32,
-                        };
-                        let ship = {
-                            let RunMode::Replicated(engine) = &mut self.mode else {
-                                unreachable!()
-                            };
-                            let (pk, _bk) =
-                                self.cluster.two_hosts_mut(self.primary, self.backup);
-                            engine.ship_log(pk, self.epoch, &[ev])?
-                        };
-                        log_events += 1;
-                        log_bytes += ship.bytes;
-                        log_time += ship.commit_latency;
-                        log_commit_max = log_commit_max.max(ship.commit_latency);
-                        log_backup_cpu += ship.backup_cpu;
-                        self.metrics.release_waits.push(ship.commit_latency);
-                        self.receipts
-                            .entry(remote)
-                            .or_default()
-                            .push_back(t_done + ship.commit_latency + cl_lat);
-                    }
-                } else {
-                    completions.push((remote, t_done));
-                }
+                engine.seal_log(epoch)?;
+                let logged = std::mem::take(&mut out.completions);
+                self.lane
+                    .release(&mut self.cluster, host, fault_time, logged, true, true)?;
             }
-        } else {
-            while used < budget && !self.batch_done {
-                let pid = self.container.workers[0];
-                let outcome = {
-                    let k = self.cluster.host_mut(host);
-                    let mut ctx = GuestCtx::new(k, pid, exec_start + used);
-                    self.app.step(&mut ctx)?
-                };
-                let cost = self.cluster.host_mut(host).meter.take();
-                used += cost.max(100);
-                steps_done += 1;
-                if replay_on {
-                    step_events.push(ReplayEvent::Step {
-                        pid,
-                        at: exec_start + used,
-                        done: outcome.done,
-                    });
-                }
-                if outcome.done {
-                    self.batch_done = true;
-                }
-            }
+            self.lane.metrics.push(out.record(epoch));
+            self.epoch += 1;
+            return self.do_failover(fault_time);
         }
-
-        // Batch workloads have no per-request output to release early, so
-        // their step log ships as one aggregate chunk at the epoch boundary.
-        if replay_on && !step_events.is_empty() {
-            let blocked = self
-                .chaos
-                .as_ref()
-                .is_some_and(|ch| ch.cfg.schedule.blocked(epoch_end, LinkDir::AtoB));
-            if !blocked {
-                let n = step_events.len() as u64;
-                let ship = {
-                    let RunMode::Replicated(engine) = &mut self.mode else {
-                        unreachable!()
-                    };
-                    let (pk, _bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-                    engine.ship_log(pk, self.epoch, &step_events)?
-                };
-                log_events += n;
-                log_bytes += ship.bytes;
-                log_time += ship.commit_latency;
-                log_commit_max = log_commit_max.max(ship.commit_latency);
-                log_backup_cpu += ship.backup_cpu;
-            }
-        }
-
-        self.cpu_debt = used.saturating_sub(budget);
-        let consumed = used.min(budget);
-        let tracking_overhead = self.cluster.host_mut(host).fault_meter.take();
-        let cg = self.container.cgroup;
-        self.cluster.host_mut(host).cgroups.charge_cpu(cg, consumed);
-        self.cluster.clock.advance_to(epoch_end);
-        self.tracer.span(
-            TraceEvent::Exec {
-                requests: requests_done,
-                steps: steps_done,
-            },
-            self.cfg.epoch_exec,
-        );
+        // Hybrid replay: a logged response left at its chunk's commit; the
+        // rest wait for the epoch ack.
+        let (logged, completions): (Vec<_>, Vec<_>) = std::mem::take(&mut out.completions)
+            .into_iter()
+            .partition(|c| c.logged.is_some());
+        self.lane.stamp(cl, 0, logged, true);
 
         // --- Heartbeat ---------------------------------------------------
-        let cpuacct = self.cluster.host_mut(host).cgroups.cpuacct_usage(cg);
-        if self.sender.tick(cpuacct) && !self.cluster.is_partitioned(host) {
+        if self.lane.beat(&mut self.cluster, host) && !self.cluster.is_partitioned(host) {
             self.chaos_beat(epoch_end);
         }
 
         // --- Stop phase / release ----------------------------------------
-        let epoch = self.epoch;
+        let record = out.record(epoch);
         if matches!(self.mode, RunMode::Unreplicated) {
             self.cluster.pump();
+            self.lane.metrics.push(record);
             if matches!(self.rearm, RearmState::Bootstrapping { .. }) {
                 // Responses stay in the plugged qdisc: the bootstrap image
                 // predates them, so they are only releasable once the first
                 // post-re-arm incremental checkpoint commits.
-                self.held.extend(completions);
-                self.metrics.push(EpochRecord {
-                    epoch,
-                    exec_cpu: consumed,
-                    tracking_overhead,
-                    requests_done,
-                    steps_done,
-                    ..Default::default()
-                });
+                self.lane.held.extend(completions);
                 self.bootstrap_step_epoch()?;
             } else {
-                let cl = self.cluster.host_mut(host).costs.client_link_latency;
-                for (remote, t_done) in completions {
-                    self.receipts
-                        .entry(remote)
-                        .or_default()
-                        .push_back(t_done + cl);
-                }
-                self.client_collect(epoch_end)?;
-                self.metrics.push(EpochRecord {
-                    epoch,
-                    exec_cpu: consumed,
-                    tracking_overhead,
-                    requests_done,
-                    steps_done,
-                    ..Default::default()
-                });
+                // No output commit: each response leaves as it is produced.
+                self.lane.stamp(cl, 0, completions, false);
+                self.lane.collect(&mut self.cluster, epoch_end)?;
             }
         } else if self
             .chaos
@@ -1103,45 +820,33 @@ impl RunHarness {
             // accumulates into the first post-heal checkpoint (soft-dirty
             // tracking is cumulative until cleared by a dump). The backup
             // sees silence and starts suspecting.
-            self.held.extend(completions);
+            self.lane.held.extend(completions);
             self.chaos.as_mut().expect("chaos").stats.stalled_epochs += 1;
-            self.metrics.push(EpochRecord {
-                epoch,
-                exec_cpu: consumed,
-                tracking_overhead,
-                requests_done,
-                steps_done,
-                ..Default::default()
-            });
+            self.lane.metrics.push(record);
         } else {
-            let outcome = {
-                let RunMode::Replicated(engine) = &mut self.mode else {
-                    unreachable!()
-                };
-                // The execution phase that just ended is overlap time for the
-                // engine's background pipeline stages (staged-pipeline
-                // extension; a no-op for synchronous engines). Whatever
-                // backlog remains surfaces as backpressure in the checkpoint.
-                engine.pipeline_advance(self.cfg.epoch_exec);
-                while self
-                    .stage_fails
-                    .front()
-                    .is_some_and(|&(t, _)| t <= self.cluster.clock.now())
-                {
-                    let (_, chunk) = self.stage_fails.pop_front().expect("front checked");
-                    engine.inject_stage_fail(chunk);
-                }
-                let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-                engine.checkpoint(pk, bk, &self.container, epoch)?
+            let RunMode::Replicated(engine) = &mut self.mode else {
+                unreachable!()
             };
+            // The execution phase that just ended is overlap time for the
+            // engine's background pipeline stages (staged-pipeline
+            // extension; a no-op for synchronous engines). Whatever backlog
+            // remains surfaces as backpressure in the checkpoint.
+            engine.pipeline_advance(self.cfg.epoch_exec);
+            while self
+                .stage_fails
+                .front()
+                .is_some_and(|&(t, _)| t <= self.cluster.clock.now())
+            {
+                let (_, chunk) = self.stage_fails.pop_front().expect("front checked");
+                engine.inject_stage_fail(chunk);
+            }
+            let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
+            let outcome = engine.checkpoint(pk, bk, &self.lane.container, epoch)?;
             self.cluster.clock.advance(outcome.stop_time);
-            self.last_stop = outcome.stop_time;
+            self.lane.last_stop = outcome.stop_time;
             if replay_on {
                 // The seal rides the checkpoint transfer: it marks the
                 // epoch's log complete so a failover can replay it whole.
-                let RunMode::Replicated(engine) = &mut self.mode else {
-                    unreachable!()
-                };
                 engine.seal_log(epoch)?;
             }
             // Chaos delay spikes stretch the ack round-trip (transfer out
@@ -1154,12 +859,12 @@ impl RunHarness {
                 .chaos
                 .as_ref()
                 .map_or(0, |ch| 2 * ch.cfg.schedule.delay_extra(epoch_end));
+            let tracer = &self.lane.tracer;
             if chaos_extra > 0 {
                 if outcome.ack_delay > 0 {
-                    self.tracer
-                        .span(TraceEvent::ChaosDelay { extra: chaos_extra }, chaos_extra);
+                    tracer.span(TraceEvent::ChaosDelay { extra: chaos_extra }, chaos_extra);
                 } else {
-                    self.tracer.mark(TraceEvent::ChaosDelay { extra: chaos_extra });
+                    tracer.mark(TraceEvent::ChaosDelay { extra: chaos_extra });
                 }
             }
             let traced_ack = if outcome.ack_delay > 0 {
@@ -1170,54 +875,43 @@ impl RunHarness {
             // The engine's phase spans must tile exactly the stop time and
             // ack delay it reported (the OBSERVABILITY.md invariant).
             if replay_on {
-                if log_events > 0 {
-                    self.tracer.span(
-                        TraceEvent::LogShip {
-                            events: log_events,
-                            bytes: log_bytes,
-                        },
-                        log_time,
-                    );
-                    self.tracer.mark(TraceEvent::LogCommit {
-                        events: log_events,
-                        commit_latency: log_commit_max,
-                    });
-                }
-                self.tracer
-                    .reconcile_with_log(epoch, outcome.stop_time, traced_ack, log_time)
+                out.log.trace(tracer);
+                tracer
+                    .reconcile_with_log(epoch, outcome.stop_time, traced_ack, out.log.time)
                     .map_err(SimError::Invalid)?;
             } else {
-                self.tracer
+                tracer
                     .reconcile(epoch, outcome.stop_time, traced_ack)
                     .map_err(SimError::Invalid)?;
             }
             let release_time = self.cluster.clock.now() + outcome.ack_delay + chaos_extra;
+            // The backup commits once the transfer went through, whether or
+            // not its ack makes it back.
+            let commit_cpu = engine.commit(self.cluster.host_mut(self.backup), epoch)?;
+            let record = EpochRecord {
+                stop_time: outcome.stop_time,
+                dirty_pages: outcome.dirty_pages,
+                state_bytes: outcome.state_bytes,
+                ack_delay: outcome.ack_delay + chaos_extra,
+                backup_cpu: outcome.backup_cpu + commit_cpu + out.log.backup_cpu,
+                ..record
+            };
 
             if let Some(ch) = self.chaos.as_mut() {
-                // Chaos: the backup commits regardless (the transfer went
-                // through); only the ack's return leg can differ.
+                // Chaos: only the ack's return leg can differ.
                 let ack_lost = if ch.cfg.schedule.blocked(release_time, LinkDir::BtoA) {
                     true
-                } else if let Some(n) =
-                    ch.cfg.schedule.loss_period(release_time, LinkDir::BtoA)
-                {
+                } else if let Some(n) = ch.cfg.schedule.loss_period(release_time, LinkDir::BtoA) {
                     ch.acks_attempted += 1;
                     ch.acks_attempted.is_multiple_of(n)
                 } else {
                     false
                 };
-                let commit_cpu = {
-                    let RunMode::Replicated(engine) = &mut self.mode else {
-                        unreachable!()
-                    };
-                    let (_pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-                    engine.commit(bk, epoch)?
-                };
                 if ack_lost {
                     // The primary never learns: no release, no lease
                     // renewal. The completions ride the next acked epoch.
                     ch.stats.withheld_acks += 1;
-                    self.held.extend(completions);
+                    self.lane.held.extend(completions);
                 } else {
                     // The ack doubles as a lease grant: the primary anchors
                     // at its own checkpoint start (epoch end), the backup at
@@ -1229,80 +923,30 @@ impl RunHarness {
                     ch.grant.grant(release_time);
                     ch.holder_was_valid = true;
                     let until = ch.holder.expires_at();
-                    self.tracer
+                    self.lane
+                        .tracer
                         .event_at(TraceEvent::LeaseAcquire { until }, release_time);
                     self.pending_release = Some(PendingRelease {
                         release_time,
                         receipts: completions,
                     });
                 }
-                self.metrics.push(EpochRecord {
-                    epoch,
-                    stop_time: outcome.stop_time,
-                    dirty_pages: outcome.dirty_pages,
-                    state_bytes: outcome.state_bytes,
-                    ack_delay: outcome.ack_delay + chaos_extra,
-                    exec_cpu: consumed,
-                    tracking_overhead,
-                    backup_cpu: outcome.backup_cpu + commit_cpu + log_backup_cpu,
-                    requests_done,
-                    steps_done,
-                });
             } else {
                 // Paper path: mechanically release now; logically at
-                // release_time.
-                let ns = self.container.ns.net;
-                let released = self
-                    .cluster
-                    .host_mut(self.primary)
-                    .stack_mut(ns)?
-                    .release_output();
-                self.tracer.event_at(
-                    TraceEvent::OutputRelease {
-                        packets: released as u64,
-                    },
+                // release_time. Bootstrap-era completions (if any) ride this
+                // epoch's release: this is the first commit whose image
+                // covers them.
+                let held = std::mem::take(&mut self.lane.held);
+                self.lane.release(
+                    &mut self.cluster,
+                    host,
                     release_time,
-                );
-                self.cluster.pump();
-                let commit_cpu = {
-                    let RunMode::Replicated(engine) = &mut self.mode else {
-                        unreachable!()
-                    };
-                    let (_pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-                    engine.commit(bk, epoch)?
-                };
-
-                let cl = self
-                    .cluster
-                    .host_mut(self.primary)
-                    .costs
-                    .client_link_latency;
-                // Bootstrap-era completions (if any) ride this epoch's
-                // release: this is the first commit whose image covers them.
-                let held = std::mem::take(&mut self.held);
-                for (remote, t_done) in held.into_iter().chain(completions) {
-                    let receipt = t_done.max(release_time) + cl;
-                    if !replay_on {
-                        self.metrics
-                            .release_waits
-                            .push(release_time.saturating_sub(t_done));
-                    }
-                    self.receipts.entry(remote).or_default().push_back(receipt);
-                }
-                self.client_collect(release_time)?;
-                self.metrics.push(EpochRecord {
-                    epoch,
-                    stop_time: outcome.stop_time,
-                    dirty_pages: outcome.dirty_pages,
-                    state_bytes: outcome.state_bytes,
-                    ack_delay: outcome.ack_delay,
-                    exec_cpu: consumed,
-                    tracking_overhead,
-                    backup_cpu: outcome.backup_cpu + commit_cpu + log_backup_cpu,
-                    requests_done,
-                    steps_done,
-                });
+                    held.into_iter().chain(completions),
+                    !replay_on,
+                    true,
+                )?;
             }
+            self.lane.metrics.push(record);
             // A coded repair streams its bounded chunk after the epoch's
             // checkpoint acked (the stream rides the inter-replica links,
             // never the primary's stop phase).
@@ -1318,222 +962,6 @@ impl RunHarness {
         }
         self.epoch += 1;
         Ok(())
-    }
-
-    fn pick_worker(&mut self) -> Pid {
-        // Requests are handled in the leader's context: application fds are
-        // opened there, and concentrating guest state in one address space
-        // is checkpoint-equivalent (the dump walks every process either
-        // way). Multi-process CPU capacity is modeled by `parallelism`.
-        self.rr += 1;
-        self.container.workers[0]
-    }
-
-    /// Hybrid replay: a primary fault lands inside the coming epoch. The
-    /// primary executes right up to the fault instant, shipping log chunks
-    /// as it goes; the epoch's checkpoint never runs. If every chunk
-    /// committed, the truncated log seals and failover replay recovers the
-    /// partial epoch byte-identically; a chunk lost to a cut link leaves the
-    /// log unsealed, nothing from the epoch is released, and recovery falls
-    /// back to the last checkpoint (clients retransmit).
-    fn run_truncated_epoch(&mut self, fault_time: Nanos) -> SimResult<()> {
-        let exec_start = self.cluster.clock.now();
-        let host = self.active_host();
-        self.tracer.begin_epoch(self.epoch, exec_start);
-        self.client_turnaround(exec_start)?;
-
-        let exec_window = fault_time
-            .saturating_sub(exec_start)
-            .min(self.cfg.epoch_exec);
-        let budget = (exec_window as f64 * self.parallelism) as Nanos;
-        let cl_lat = self.cluster.host_mut(host).costs.client_link_latency;
-        let mut used: Nanos = KEEPALIVE_COST + self.cpu_debt;
-        let mut requests_done = 0u64;
-        let mut steps_done = 0u64;
-        // (receipt time, release wait) per committed chunk — deliverable
-        // only if the *whole* truncated log commits.
-        let mut released: Vec<(Endpoint, Nanos, Nanos)> = Vec::new();
-        let mut blocked_any = false;
-        let mut log_events = 0u64;
-        let mut log_bytes = 0u64;
-        let mut log_time: Nanos = 0;
-        let mut log_commit_max: Nanos = 0;
-
-        {
-            let k = self.cluster.host_mut(host);
-            k.meter.take();
-            k.fault_meter.take();
-        }
-
-        if self.app.is_server() {
-            while used < budget {
-                let Some(pos) = self
-                    .pending
-                    .iter()
-                    .position(|(_, _, arrival)| *arrival <= fault_time)
-                else {
-                    break;
-                };
-                let (remote, req, arrival) = self.pending.remove(pos).expect("pos valid");
-                let pid = self.pick_worker();
-                let response = {
-                    let k = self.cluster.host_mut(host);
-                    let mut ctx = GuestCtx::new(k, pid, exec_start + used);
-                    self.app.handle_request(&mut ctx, &req)?
-                };
-                let cost = self.cluster.host_mut(host).meter.take();
-                used += cost.max(100);
-                let stretch_num = self.cfg.epoch_exec + self.last_stop;
-                let wall_used = used.saturating_mul(stretch_num) / self.cfg.epoch_exec;
-                let t_done = arrival.max(exec_start) + wall_used;
-                self.send_response(remote, &response.response)?;
-                requests_done += 1;
-                let t_chunk = exec_start + used;
-                let blocked = self
-                    .chaos
-                    .as_ref()
-                    .is_some_and(|ch| ch.cfg.schedule.blocked(t_chunk, LinkDir::AtoB));
-                if blocked {
-                    blocked_any = true;
-                    continue;
-                }
-                let ev = ReplayEvent::Request {
-                    pid,
-                    at: arrival,
-                    payload: req,
-                    response_hash: content_hash(&response.response),
-                    response_len: response.response.len() as u32,
-                };
-                let ship = {
-                    let RunMode::Replicated(engine) = &mut self.mode else {
-                        unreachable!()
-                    };
-                    let (pk, _bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-                    engine.ship_log(pk, self.epoch, &[ev])?
-                };
-                log_events += 1;
-                log_bytes += ship.bytes;
-                log_time += ship.commit_latency;
-                log_commit_max = log_commit_max.max(ship.commit_latency);
-                released.push((
-                    remote,
-                    t_done + ship.commit_latency + cl_lat,
-                    ship.commit_latency,
-                ));
-            }
-        } else {
-            let mut step_events: Vec<ReplayEvent> = Vec::new();
-            while used < budget && !self.batch_done {
-                let pid = self.container.workers[0];
-                let outcome = {
-                    let k = self.cluster.host_mut(host);
-                    let mut ctx = GuestCtx::new(k, pid, exec_start + used);
-                    self.app.step(&mut ctx)?
-                };
-                let cost = self.cluster.host_mut(host).meter.take();
-                used += cost.max(100);
-                steps_done += 1;
-                step_events.push(ReplayEvent::Step {
-                    pid,
-                    at: exec_start + used,
-                    done: outcome.done,
-                });
-                if outcome.done {
-                    self.batch_done = true;
-                }
-            }
-            if !step_events.is_empty() {
-                let blocked = self
-                    .chaos
-                    .as_ref()
-                    .is_some_and(|ch| ch.cfg.schedule.blocked(fault_time, LinkDir::AtoB));
-                if blocked {
-                    blocked_any = true;
-                } else {
-                    let n = step_events.len() as u64;
-                    let ship = {
-                        let RunMode::Replicated(engine) = &mut self.mode else {
-                            unreachable!()
-                        };
-                        let (pk, _bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-                        engine.ship_log(pk, self.epoch, &step_events)?
-                    };
-                    log_events += n;
-                    log_bytes += ship.bytes;
-                    log_time += ship.commit_latency;
-                    log_commit_max = log_commit_max.max(ship.commit_latency);
-                }
-            }
-        }
-
-        // Work interrupted by the fault dies with the primary.
-        self.cpu_debt = 0;
-        let consumed = used.min(budget);
-        let tracking_overhead = self.cluster.host_mut(host).fault_meter.take();
-        let cg = self.container.cgroup;
-        self.cluster.host_mut(host).cgroups.charge_cpu(cg, consumed);
-        self.tracer.span(
-            TraceEvent::Exec {
-                requests: requests_done,
-                steps: steps_done,
-            },
-            exec_window,
-        );
-        if log_events > 0 {
-            self.tracer.span(
-                TraceEvent::LogShip {
-                    events: log_events,
-                    bytes: log_bytes,
-                },
-                log_time,
-            );
-            self.tracer.mark(TraceEvent::LogCommit {
-                events: log_events,
-                commit_latency: log_commit_max,
-            });
-        }
-
-        if blocked_any {
-            // Part of the log never committed: the epoch's log stays
-            // unsealed and *nothing* from it is released — a blocked
-            // response escaping would expose state the fallback image does
-            // not contain. The partial tail forces fallback replay; clients
-            // retransmit and the recovered container re-serves them.
-        } else {
-            // The whole truncated log committed: seal it so failover replay
-            // covers this partial epoch, and deliver the outputs that were
-            // granted release at log commit.
-            {
-                let RunMode::Replicated(engine) = &mut self.mode else {
-                    unreachable!()
-                };
-                engine.seal_log(self.epoch)?;
-            }
-            let ns = self.container.ns.net;
-            let released_pkts = self.cluster.host_mut(host).stack_mut(ns)?.release_output();
-            self.tracer.event_at(
-                TraceEvent::OutputRelease {
-                    packets: released_pkts as u64,
-                },
-                fault_time,
-            );
-            self.cluster.pump();
-            for (remote, receipt, wait) in released.drain(..) {
-                self.metrics.release_waits.push(wait);
-                self.receipts.entry(remote).or_default().push_back(receipt);
-            }
-            self.client_collect(fault_time)?;
-        }
-        self.metrics.push(EpochRecord {
-            epoch: self.epoch,
-            exec_cpu: consumed,
-            tracking_overhead,
-            requests_done,
-            steps_done,
-            ..Default::default()
-        });
-        self.epoch += 1;
-        self.do_failover(fault_time)
     }
 
     // ------------------------------------------------------------------
@@ -1556,13 +984,7 @@ impl RunHarness {
         // everything still plugged or queued dies with the host.
         self.cluster.clock.advance_to(fault_time);
         self.cluster.partition(self.active_host());
-        let discarded = (self.pending.len() + self.held.len()) as u64;
-        self.tracer.event_at(
-            TraceEvent::OutputDiscard { packets: discarded },
-            fault_time,
-        );
-        self.pending.clear();
-        self.held.clear();
+        self.lane.discard(fault_time, 0);
         self.unrecovered_faults += 1;
         self.dead = true;
         Ok(())
@@ -1580,10 +1002,7 @@ impl RunHarness {
         // Chaos: a release deferred past the fault dies with the primary.
         // The plugged packets were never unplugged, so they are discarded
         // with the rest of the uncommitted output, never duplicated.
-        let voided = self
-            .pending_release
-            .take()
-            .map_or_else(Vec::new, |pr| pr.receipts);
+        let voided = self.pending_release.take().map_or(0, |p| p.receipts.len());
 
         // Detection: the detector only changes state on its own heartbeat
         // grid, so poll along the beat boundaries. Under chaos, beats still
@@ -1631,143 +1050,25 @@ impl RunHarness {
     /// The failover tail: restore on the backup, move the address, discard
     /// uncommitted output, retransmit, and either re-arm or degrade. Shared
     /// by the injected-fault path ([`Self::do_failover`]) and the
-    /// chaos-detected path ([`Self::chaos_promote`]); `voided` are receipts
-    /// from a deferred release that died with the primary.
-    fn promote_backup(&mut self, latency: Nanos, voided: Vec<(Endpoint, Nanos)>) -> SimResult<()> {
-        // Failover on the backup.
-        let (restored, report) = {
-            let RunMode::Replicated(engine) = &mut self.mode else {
-                unreachable!()
-            };
-            let bk = &mut *self.cluster.host_mut(self.backup);
-            engine.failover(bk)?
+    /// chaos-detected path ([`Self::chaos_promote`]); `voided` counts the
+    /// completions of a deferred release that died with the primary.
+    fn promote_backup(&mut self, latency: Nanos, voided: usize) -> SimResult<()> {
+        let RunMode::Replicated(engine) = &mut self.mode else {
+            unreachable!()
         };
-        self.cluster.clock.advance(report.total());
-
-        // Gratuitous ARP: the address moves to the backup.
-        self.cluster.bind_addr(
-            restored.container.spec.addr,
+        let report = self.lane.promote(
+            &mut self.cluster,
+            engine.as_mut(),
             self.backup,
-            restored.container.ns.net,
-        );
-        restored.finish(self.cluster.host_mut(self.backup))?;
-
-        // Rebuild the application's working state from restored guest memory.
-        {
-            let now = self.cluster.clock.now();
-            let k = self.cluster.host_mut(self.backup);
-            let mut ctx = GuestCtx::new(k, restored.container.workers[0], now);
-            self.app.recover(&mut ctx)?;
-            k.meter.take();
-            k.fault_meter.take();
-        }
-
-        // Hybrid replay: re-execute the sealed log tail on top of the
-        // restored checkpoint, recovering the post-checkpoint execution
-        // whose outputs were already released at log commit. A divergence
-        // (gap, partial tail, hash mismatch) falls back to the plain
-        // last-checkpoint state just restored.
-        let tail = {
-            let RunMode::Replicated(engine) = &mut self.mode else {
-                unreachable!()
-            };
-            if engine.supports_replay() {
-                Some(engine.take_replay_tail()?)
-            } else {
-                None
-            }
-        };
-        if let Some(tail) = tail {
-            if !tail.logs.is_empty() || tail.dropped_partial {
-                let now = self.cluster.clock.now();
-                self.tracer.event_at(
-                    TraceEvent::ReplayStart {
-                        epochs: tail.logs.len() as u64,
-                        events: tail.events(),
-                    },
-                    now,
-                );
-                let out = replay_tail(
-                    &mut *self.cluster.host_mut(self.backup),
-                    &restored.container,
-                    self.app.as_mut(),
-                    &tail,
-                )?;
-                self.cluster.clock.advance(out.replay_cpu);
-                let done = self.cluster.clock.now();
-                match out.diverged {
-                    Some(reason) => {
-                        self.tracer
-                            .event_at(TraceEvent::ReplayDiverge { reason }, done);
-                        // The executor rolled guest memory back; re-derive
-                        // the app's working state from the checkpoint too.
-                        let k = self.cluster.host_mut(self.backup);
-                        let mut ctx = GuestCtx::new(k, restored.container.workers[0], done);
-                        self.app.recover(&mut ctx)?;
-                        k.meter.take();
-                        k.fault_meter.take();
-                    }
-                    None => {
-                        self.tracer.event_at(
-                            TraceEvent::ReplayComplete {
-                                events: out.events,
-                                replay_time: out.replay_cpu,
-                            },
-                            done,
-                        );
-                    }
-                }
-            }
-        }
-
-        // Uncommitted driver-side buffers are garbage now: the clients will
-        // retransmit anything the committed state has not consumed. Held
-        // bootstrap-era completions were never released — discarded too, as
-        // is any deferred release voided by the fault.
-        let discarded = (self.pending.len() + self.held.len() + voided.len()) as u64;
-        self.tracer.event_at(
-            TraceEvent::OutputDiscard { packets: discarded },
-            self.cluster.clock.now(),
-        );
-        self.pending.clear();
-        self.held.clear();
-
-        self.tracer.event_at(
-            TraceEvent::Failover {
-                detection_latency: latency,
-                restore: report.restore,
-                arp: report.arp,
-                tcp: report.tcp,
-                others: report.others,
-            },
-            self.cluster.clock.now(),
-        );
-
-        self.container = restored.container;
+            latency,
+            voided as u64,
+        )?;
         self.failover_report = Some(report);
         self.failovers += 1;
         // A repair in flight at failover time is moot: the rearm bootstrap
         // (if any) rebuilds the whole placement from the promoted primary.
         self.repair = RepairState::Idle;
-        // The promoted host's cgroup accounting starts from zero: without a
-        // fresh sender, `tick` would never see progress and the re-armed
-        // detector would starve.
-        self.sender = HeartbeatSender::new();
-
-        // Retransmissions: restored server sockets re-send unacked
-        // responses (§V-E); clients re-send unacked requests.
-        let ns = self.container.ns.net;
-        self.cluster
-            .host_mut(self.backup)
-            .stack_mut(ns)?
-            .retransmit_all();
-        if let Some(pool) = self.pool.as_mut() {
-            pool.retransmit(&mut self.cluster)?;
-        }
-        self.cluster.pump();
-        // Retransmitted responses reach clients now.
         let now = self.cluster.clock.now();
-        self.client_collect(now)?;
 
         let supports_rearm = match &self.mode {
             RunMode::Replicated(engine) => engine.supports_rearm(),
@@ -1808,7 +1109,7 @@ impl RunHarness {
         // A deferred release whose ack already committed is legitimate: the
         // backup acknowledged the covering epoch before it died, so flush it
         // (lease validity holds by construction — the ack renewed it).
-        self.chaos_flush_pending(t)?;
+        self.chaos_flush_pending()?;
         let has_placement = match &self.mode {
             RunMode::Replicated(engine) => engine.supports_placement(),
             RunMode::Unreplicated => false,
@@ -1847,7 +1148,8 @@ impl RunHarness {
                 // the replacement immediately; the repair starts after the
                 // same settling delay a rearm bootstrap uses.
                 self.backup = self.cluster.add_host(Kernel::default());
-                self.tracer
+                self.lane
+                    .tracer
                     .event_at(TraceEvent::DegradedMode { alive, need: k }, t);
                 self.repair = RepairState::Scheduled {
                     at: t + self.cfg.rearm_delay,
@@ -1880,7 +1182,8 @@ impl RunHarness {
             self.cluster.partition(self.backup);
             {
                 let engine = self.parked.as_mut().expect("bootstrapping without an engine");
-                engine.bootstrap_abort(self.cluster.host_mut(self.primary), &self.container)?;
+                engine
+                    .bootstrap_abort(self.cluster.host_mut(self.primary), &self.lane.container)?;
             }
             self.release_plugged_output(t)?;
             let backoff = self
@@ -1918,28 +1221,12 @@ impl RunHarness {
     /// Replication is gone (backup lost): output commit is moot, so unplug
     /// the qdisc, release everything held, and deliver to clients.
     fn release_plugged_output(&mut self, t: Nanos) -> SimResult<()> {
-        let ns = self.container.ns.net;
         let host = self.active_host();
-        let stack = self.cluster.host_mut(host).stack_mut(ns)?;
-        let released = stack.release_output();
-        stack.plugged = false;
-        self.tracer.event_at(
-            TraceEvent::OutputRelease {
-                packets: released as u64,
-            },
-            t,
-        );
-        self.cluster.pump();
-        let cl = self.cluster.host_mut(host).costs.client_link_latency;
-        let held = std::mem::take(&mut self.held);
-        for (remote, t_done) in held {
-            self.receipts
-                .entry(remote)
-                .or_default()
-                .push_back(t_done.max(t) + cl);
-        }
-        self.client_collect(t)?;
-        Ok(())
+        let ns = self.lane.container.ns.net;
+        self.cluster.host_mut(host).stack_mut(ns)?.plugged = false;
+        let held = std::mem::take(&mut self.lane.held);
+        self.lane
+            .release(&mut self.cluster, host, t, held, false, true)
     }
 
     /// Start a scheduled bootstrap once its time arrives.
@@ -1964,7 +1251,7 @@ impl RunHarness {
                     self.repair = RepairState::Idle;
                     return Ok(());
                 };
-                self.tracer.event_at(
+                self.lane.tracer.event_at(
                     TraceEvent::RepairStart {
                         kind: "repair".into(),
                         attempt,
@@ -2003,7 +1290,7 @@ impl RunHarness {
         };
         let now = self.cluster.clock.now();
         if step.pages > 0 {
-            self.tracer.event_at(
+            self.lane.tracer.event_at(
                 TraceEvent::RepairChunk {
                     pages: step.pages,
                     bytes: step.bytes,
@@ -2021,7 +1308,8 @@ impl RunHarness {
                 engine.repair_finish(self.cluster.host_mut(self.backup), self.epoch)?;
             }
             self.repair = RepairState::Idle;
-            self.tracer
+            self.lane
+                .tracer
                 .event_at(TraceEvent::RepairComplete { pages, bytes }, now);
         } else {
             self.repair = RepairState::Repairing {
@@ -2043,18 +1331,19 @@ impl RunHarness {
             .parked
             .take()
             .expect("rearm scheduled with no parked engine");
-        engine.set_tracer(self.tracer.clone());
-        engine.rearm_prepare(self.cluster.host_mut(self.primary), &self.container)?;
+        engine.set_tracer(self.lane.tracer.clone());
+        engine.rearm_prepare(self.cluster.host_mut(self.primary), &self.lane.container)?;
         self.cluster.host_mut(self.primary).meter.take();
-        self.tracer
+        self.lane
+            .tracer
             .event_at(TraceEvent::RearmStart { attempt }, now);
         let begin = engine.bootstrap_begin(
             self.cluster.host_mut(self.primary),
-            &self.container,
+            &self.lane.container,
             self.epoch,
         )?;
         self.cluster.clock.advance(begin.stop_time);
-        self.last_stop = begin.stop_time;
+        self.lane.last_stop = begin.stop_time;
         self.rearm = RearmState::Bootstrapping {
             attempt,
             epoch: self.epoch,
@@ -2089,7 +1378,7 @@ impl RunHarness {
         };
         let now = self.cluster.clock.now();
         if step.pages > 0 {
-            self.tracer.event_at(
+            self.lane.tracer.event_at(
                 TraceEvent::BootstrapChunk {
                     pages: step.pages,
                     bytes: step.bytes,
@@ -2116,7 +1405,7 @@ impl RunHarness {
                 self.cfg.heartbeat_misses,
                 now,
             );
-            self.detector.set_tracer(self.tracer.clone());
+            self.detector.set_tracer(self.lane.tracer.clone());
             if let Some(ch) = self.chaos.as_mut() {
                 // Fresh pair, fresh fences: re-anchor both leases at `now`
                 // so a grant left over from before the fault cannot
@@ -2125,7 +1414,7 @@ impl RunHarness {
                 ch.grant.grant(now);
                 ch.holder_was_valid = true;
             }
-            self.tracer
+            self.lane.tracer
                 .event_at(TraceEvent::RearmComplete { pages, bytes }, now);
         } else {
             self.rearm = RearmState::Bootstrapping {
@@ -2142,35 +1431,16 @@ impl RunHarness {
     pub fn finish(mut self) -> RunResult {
         // Flush a deferred release still sitting at the end of the run (its
         // ack committed; only the epoch boundary never came).
-        if self.pending_release.is_some() {
-            let now = self.cluster.clock.now();
-            let _ = self.chaos_flush_pending(now);
-        }
-        let _ = self.tracer.flush();
-        self.metrics.elapsed = self.cluster.clock.now();
-        // A failed client-stack lookup must fail the run, not count as zero
-        // broken connections — fold the error into `verify` so the §VII-A
-        // gate can't pass vacuously.
-        let (broken, broken_err) = match self.pool.as_mut() {
-            Some(p) => match p.broken_connections(&mut self.cluster) {
-                Ok(n) => (n, None),
-                Err(e) => (u64::MAX, Some(format!("broken_connections: {e}"))),
-            },
-            None => (0, None),
-        };
-        let verify = match broken_err {
-            Some(e) => Err(e),
-            None => match &self.behavior {
-                Some(b) => b.verify(),
-                None => Ok(()),
-            },
-        };
+        let _ = self.chaos_flush_pending();
+        let _ = self.lane.tracer.flush();
+        self.lane.metrics.elapsed = self.cluster.clock.now();
+        let (broken, verify) = self.lane.finish_checks(&mut self.cluster);
         // A scheduled fault that never fired is unproven survival: the old
         // `recovered` semantics (fault pending + still on the primary =
         // not recovered) are preserved by counting it against the run.
         let unrecovered = self.unrecovered_faults + self.faults.len() as u64;
         RunResult {
-            metrics: self.metrics,
+            metrics: self.lane.metrics,
             failover: self.failover_report,
             detection_latency: self.detection_latency,
             recovered: unrecovered == 0,
@@ -2183,6 +1453,6 @@ impl RunHarness {
 
     /// Read-only metrics access mid-run.
     pub fn metrics(&self) -> &RunMetrics {
-        &self.metrics
+        &self.lane.metrics
     }
 }

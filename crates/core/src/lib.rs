@@ -94,6 +94,7 @@ pub mod detector;
 pub mod engine;
 pub mod fleet;
 pub mod harness;
+mod lane;
 pub mod metrics;
 pub mod nilicon_engine;
 pub mod placement;

@@ -26,6 +26,9 @@ use proptest::prelude::*;
 /// One epoch's worth of guest writes: (heap page, byte value).
 type EpochWrites = Vec<(u64, u8)>;
 
+/// Per-epoch `(stop_time, ack_delay, state_bytes, dirty_pages, backup_cpu)`.
+type EpochOutcome = (Nanos, Nanos, u64, u64, Nanos);
+
 /// An application that does nothing by itself (the test scripts guest
 /// writes directly, exactly like the plain engine-loop histories).
 struct Inert;
@@ -40,11 +43,12 @@ impl Application for Inert {
 
 /// Plain single-engine loop over `history` (the `pipeline_equivalence.rs`
 /// idiom): returns the final committed image plus per-epoch
-/// `(stop_time, ack_delay, state_bytes, dirty_pages)`.
+/// `(stop_time, ack_delay, state_bytes, dirty_pages, backup_cpu)`, the
+/// backup CPU including the commit's.
 fn run_plain(
     opts: OptimizationConfig,
     history: &[EpochWrites],
-) -> (CheckpointImage, Vec<(Nanos, Nanos, u64, u64)>) {
+) -> (CheckpointImage, Vec<EpochOutcome>) {
     let mut p = Kernel::default();
     let mut b = Kernel::default();
     let spec = ContainerSpec::server("redis", 10, 6379);
@@ -60,8 +64,14 @@ fn run_plain(
         }
         e.pipeline_advance(30_000_000);
         let o = e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
-        e.commit(&mut b, epoch).unwrap();
-        outcomes.push((o.stop_time, o.ack_delay, o.state_bytes, o.dirty_pages));
+        let commit_cpu = e.commit(&mut b, epoch).unwrap();
+        outcomes.push((
+            o.stop_time,
+            o.ack_delay,
+            o.state_bytes,
+            o.dirty_pages,
+            o.backup_cpu + commit_cpu,
+        ));
     }
     (e.agent.materialize().unwrap(), outcomes)
 }
@@ -108,7 +118,7 @@ fn fleet_rejects_rearm() {
 fn run_fleet1(
     opts: OptimizationConfig,
     history: &[EpochWrites],
-) -> (CheckpointImage, Vec<(Nanos, Nanos, u64, u64)>) {
+) -> (CheckpointImage, Vec<EpochOutcome>) {
     let mut cfg = ReplicationConfig { opts, ..Default::default() };
     cfg.opts.fleet = 1;
     let mut fleet = FleetScheduler::new(
@@ -128,7 +138,7 @@ fn run_fleet1(
         .metrics
         .epochs
         .iter()
-        .map(|e| (e.stop_time, e.ack_delay, e.state_bytes, e.dirty_pages))
+        .map(|e| (e.stop_time, e.ack_delay, e.state_bytes, e.dirty_pages, e.backup_cpu))
         .collect();
     (img, outcomes)
 }
@@ -153,8 +163,8 @@ proptest! {
 
     /// `--fleet 1` is the identity, under the paper config and with the
     /// delta shadow store on: same committed bytes, same per-epoch
-    /// stop/ack/bytes/pages (so the reconciliation identities, which the
-    /// fleet checks internally every epoch, match too).
+    /// stop/ack/bytes/pages/backup CPU (so the reconciliation identities,
+    /// which the fleet checks internally every epoch, match too).
     #[test]
     fn one_lane_fleet_is_byte_identical_to_plain_engine(history in arb_history()) {
         for (label, opts) in [

@@ -313,6 +313,56 @@ fn harness_fault_mid_epoch_replays_the_sealed_tail() {
     );
 }
 
+/// Harness e2e for the batch branch of a fault-truncated epoch: a batch
+/// workload ships its step log as one aggregate chunk at the cut, the
+/// truncated log seals, and failover replays its `Step` events onto the
+/// last checkpoint before the job runs to completion on the backup.
+#[test]
+fn harness_batch_fault_mid_epoch_replays_the_step_tail() {
+    let w = workloads::streamcluster(Scale::small(), 4);
+    // Heavier passes so the job spans ~27 epochs (~1.1 s); 415 ms falls
+    // inside the execution window of epoch 7.
+    let mut app = workloads::StreamclusterApp::new(Scale::small());
+    app.passes = 150;
+    app.cpu_per_dist = 60;
+    let mut opts = OptimizationConfig::nilicon();
+    opts.hybrid_replay = true;
+    let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())));
+    let mut h = RunHarness::new(
+        w.spec,
+        Box::new(app),
+        w.behavior,
+        mode,
+        ReplicationConfig::default(),
+        w.parallelism,
+    )
+    .unwrap();
+    let (tracer, ring) = Tracer::in_memory(8192);
+    h.set_tracer(tracer);
+    h.inject_fault_at(415 * MILLISECOND);
+    h.run_batch_to_completion(5000).unwrap();
+    assert!(h.batch_done(), "the batch must complete on the backup");
+    let r = h.finish();
+    assert!(r.recovered, "failover must succeed");
+    assert_eq!(r.failovers, 1);
+
+    let recs = ring.snapshot();
+    let replayed = recs.iter().find_map(|rec| match &rec.kind {
+        TraceEvent::ReplayComplete { events, .. } => Some(*events),
+        _ => None,
+    });
+    assert!(
+        replayed.is_some_and(|ev| ev > 0),
+        "the sealed mid-epoch step tail must replay events: {replayed:?}"
+    );
+    assert!(
+        !recs
+            .iter()
+            .any(|rec| matches!(rec.kind, TraceEvent::ReplayDiverge { .. })),
+        "a cleanly sealed step tail must not diverge"
+    );
+}
+
 /// Harness e2e for the fallback: the log link dies mid-run (engine loss
 /// injection), so the fault epoch's log on the backup is a seal-less
 /// partial prefix and the failover must take the last-checkpoint path,
